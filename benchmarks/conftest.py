@@ -20,16 +20,22 @@ Every ``bench_*_speedup.py`` gate appends its record to a
 commits (not just against the gate) from the very first run after a fresh
 clone; the E8 fault-degradation sweep does the same into
 ``benchmarks/BENCH_E8.json``.  The trajectory files are gitignored.
+
+The S3-S5 gates time the package against the seed oracles in
+``tests/oracles/``; ``tests/`` goes on ``sys.path`` here so that
+``from oracles import ...`` works in the bench files as it does in the
+tests.
 """
 
 from __future__ import annotations
 
 import json
 import os
-
-import pytest
+import sys
+import time
 
 _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(_BENCH_DIR), "tests"))
 
 
 def run_experiment(benchmark, function, **kwargs):
@@ -38,6 +44,21 @@ def run_experiment(benchmark, function, **kwargs):
     print()
     print(json.dumps(result, indent=2, default=str))
     return result
+
+
+def best_of(function, repeats: int):
+    """Run ``function`` ``repeats`` times; return (best wall-clock, last result).
+
+    Best-of timing is the protocol every S-series speedup gate uses: it
+    keeps the measured ratios stable on noisy shared runners.
+    """
+    times = []
+    result = None
+    for _ in range(max(1, repeats)):
+        started = time.perf_counter()
+        result = function()
+        times.append(time.perf_counter() - started)
+    return min(times), result
 
 
 def append_trajectory(name: str, result: dict) -> None:

@@ -14,16 +14,14 @@ algorithms here are:
 * :mod:`repro.algorithms.partwise` -- label-space conveniences over the
   aggregation primitive.
 
-This layer is **array-native**: by default :func:`boruvka_mst` and
+This layer is **array-native**: :func:`boruvka_mst` and
 :func:`approximate_min_cut` run on the CSR kernel
 (:class:`~repro.core.GraphView` indices, flat union-find fragments,
-engine-built per-phase shortcuts, Euler-interval cut sweeps), and the seed
-implementations are preserved verbatim behind
-:func:`repro.core.networkx_reference_paths` as differential oracles.  The
-two paths return identical results on every field --
-``tests/test_algorithms_core.py`` pins the equality per family, and
-``benchmarks/bench_algorithms_speedup.py`` (S5) gates the speedup.  See
-``docs/architecture.md`` for the dual-path contract and
+engine-built per-phase shortcuts, Euler-interval cut sweeps).  The seed
+implementations are kept verbatim as oracles in ``tests/oracles/``;
+``tests/test_algorithms_core.py`` pins equality with them on every field
+per family, and ``benchmarks/bench_algorithms_speedup.py`` (S5) gates the
+speedup.  See ``docs/architecture.md`` for the oracle note and
 ``docs/paper_map.md`` for the statement-by-statement paper map.
 """
 

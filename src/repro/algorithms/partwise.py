@@ -8,19 +8,15 @@ outgoing edge.  Each wrapper returns both the per-part answers and the
 measured CONGEST rounds, so callers can account costs uniformly.
 
 Every wrapper delegates to
-:func:`repro.congest.aggregation.partwise_aggregate`, so each inherits the
-aggregation primitive's dual-path guarantee: inside
-:func:`repro.core.networkx_reference_paths` the preserved label-keyed
-scheduler runs, outside it the index-space fast path runs, and the two are
-round-, message- and value-identical on every input.  The wrappers
-themselves stay in label space -- they are convenience API, not hot paths;
-the Boruvka fast loop implements its MWOE step natively instead (see
-:mod:`repro.algorithms.mst`).
+:func:`repro.congest.aggregation.partwise_aggregate` (the index-space
+scheduler).  The wrappers themselves stay in label space -- they are
+convenience API, not hot paths; the Boruvka loop implements its MWOE step
+natively instead (see :mod:`repro.algorithms.mst`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Mapping
+from typing import Hashable, Mapping
 
 import networkx as nx
 

@@ -21,8 +21,6 @@ import math
 import time
 from typing import Sequence
 
-import networkx as nx
-
 from ..algorithms.mincut import approximate_min_cut
 from ..algorithms.mst import boruvka_mst, native_mst_weight, reference_mst_weight
 from ..algorithms.mst_baselines import (
@@ -35,7 +33,7 @@ from ..congest.primitives import broadcast_value, distributed_bfs_tree
 from ..congest.reference import ReferenceSimulator
 from ..congest.runtime import RuntimeSimulator
 from ..congest.simulator import CongestSimulator
-from ..core import networkx_reference_paths, nx_materializations, view_of
+from ..core import nx_materializations, view_of
 from ..graphs.apex_vortex import build_almost_embeddable
 from ..graphs.clique_sum import clique_sum_compose
 from ..graphs.minor_free import perturbed_planar_graph
@@ -47,7 +45,6 @@ from ..graphs.weights import assign_adversarial_weights
 from ..shortcuts.apex import apex_shortcut, apex_shortcut_from_witness
 from ..shortcuts.baseline import empty_shortcut, steiner_shortcut
 from ..shortcuts.clique_sum import clique_sum_shortcut
-from ..shortcuts.congestion_capped import oblivious_shortcut
 from ..shortcuts.engine import ConstructionEngine
 from ..shortcuts.minor_free import minor_free_quality_bounds
 from ..shortcuts.parts import path_parts
@@ -584,113 +581,6 @@ def experiment_scenario_matrix(
     }
 
 
-def _best_of(function, repeats: int):
-    """Run ``function`` ``repeats`` times; return (best wall-clock, last result).
-
-    Best-of timing is the protocol every S-series speedup experiment uses:
-    it keeps the measured ratios stable on noisy shared runners.
-    """
-    times = []
-    result = None
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        result = function()
-        times.append(time.perf_counter() - started)
-    return min(times), result
-
-
-def experiment_core_speedup(
-    mst_side: int = 45,
-    quality_side: int = 30,
-    seed: int = 19,
-    quality_constructor: str = "whole_tree",
-    mst_constructor: str = "steiner",
-    repeats: int = 3,
-) -> dict:
-    """S3 -- CoreGraph paths versus the pre-refactor networkx paths.
-
-    Two timed comparisons, both against the preserved ``networkx``
-    reference implementations (forced via
-    :func:`repro.core.networkx_reference_paths`):
-
-    * **quality measurement**: ``Shortcut.measure()`` (flat Counter
-      congestion + epoch union-find blocks over the shared
-      :class:`~repro.core.GraphView`) versus ``measure_reference()``
-      (per-part ``nx.Graph`` + ``connected_components``) on a
-      ``quality_side x quality_side`` grid with path parts and the
-      ``quality_constructor`` shortcut (default ``whole_tree``: every part
-      carries the full spanning tree, the heaviest measurement shape);
-    * **the simulated MST run**: the full ``mst`` scenario (core-mode
-      simulator phases, CSR aggregation trees, CSR part validation, fast
-      quality per Boruvka phase) versus the same scenario inside the
-      reference context, on an ``mst_side x mst_side`` grid.
-
-    Both arms must agree on every measured quantity; wall-clock is best of
-    ``repeats``.  ``benchmarks/bench_core_speedup.py`` gates both ratios at
-    >=2x.
-    """
-    cache = InstanceCache()
-    # --- quality measurement -------------------------------------------
-    quality_instance = build_instance("planar", {"side": quality_side}, seed=seed, cache=cache)
-    quality_instance.view  # warm the shared conversion (one per sweep)
-    parts = quality_instance.parts("path")
-    shortcut = scenario_constructor(quality_constructor).build(
-        quality_instance, quality_instance.tree, parts
-    )
-
-    fast_seconds, fast_measure = _best_of(shortcut.measure, repeats)
-    reference_seconds, reference_measure = _best_of(shortcut.measure_reference, repeats)
-    quality_agree = fast_measure == reference_measure
-
-    # --- the simulated MST run -----------------------------------------
-    warm = build_instance("planar", {"side": mst_side}, seed=seed, cache=cache)
-    warm.weighted_graph(seed)
-    warm.view
-    warm.tree  # the shared spanning tree is cache-warm for both arms
-    scenario = Scenario(
-        name=f"planar/{mst_constructor}/mst",
-        family="planar",
-        constructor=mst_constructor,
-        algorithm="mst",
-        params={"side": mst_side},
-        seed=seed,
-    )
-
-    def run_mst() -> dict:
-        return dict(run_scenario(scenario, cache=cache).as_dict()["result"])
-
-    core_seconds, core_result = _best_of(run_mst, repeats)
-    with networkx_reference_paths():
-        pre_seconds, pre_result = _best_of(run_mst, repeats)
-    mst_agree = all(
-        core_result[key] == pre_result[key]
-        for key in ("mst_rounds", "mst_phases", "mst_weight", "sim_rounds", "sim_messages", "sim_words")
-    )
-    return {
-        "experiment": "S3-core-speedup",
-        "quality": {
-            "n": quality_side * quality_side,
-            "num_parts": len(parts),
-            "constructor": quality_constructor,
-            "core_seconds": fast_seconds,
-            "reference_seconds": reference_seconds,
-            "speedup": reference_seconds / max(fast_seconds, 1e-9),
-            "results_agree": quality_agree,
-            "measure": fast_measure.as_row(),
-        },
-        "mst": {
-            "n": mst_side * mst_side,
-            "constructor": mst_constructor,
-            "core_seconds": core_seconds,
-            "reference_seconds": pre_seconds,
-            "speedup": pre_seconds / max(core_seconds, 1e-9),
-            "sim_speedup": pre_result["sim_seconds"] / max(core_result["sim_seconds"], 1e-9),
-            "results_agree": mst_agree,
-            "mst_rounds": core_result["mst_rounds"],
-        },
-    }
-
-
 def experiment_simulator_speedup(
     side: int = 45, seed: int = 19, constructor: str = "empty"
 ) -> dict:
@@ -811,124 +701,6 @@ def experiment_runtime_speedup(
         "results_agree": agree,
         "sim_speedup": core["sim_seconds"] / max(runtime["sim_seconds"], 1e-9),
         "total_speedup": core["total_seconds"] / max(runtime["total_seconds"], 1e-9),
-    }
-
-
-def experiment_algorithms_speedup(
-    side: int = 30,
-    seed: int = 23,
-    epsilon: float = 1.0,
-    repeats: int = 3,
-) -> dict:
-    """S5 -- the array-native algorithm layer versus the networkx reference.
-
-    Times the paper's end-to-end workload (Corollary 1) -- one distributed
-    Boruvka MST plus one (1+eps)-approximate min-cut via tree packing -- on
-    a ``side x side`` planar grid twice: once on the array-native fast paths
-    (flat union-find fragments, CSR MWOE scans, engine-driven per-phase
-    shortcuts, indexed aggregation, Euler-interval respecting-cut sweeps)
-    and once with the preserved seed implementations forced via
-    :func:`repro.core.networkx_reference_paths`.  Both arms must agree
-    exactly -- MST edges/weight/rounds/phases/qualities and cut
-    value/side/edges/rounds -- and ``benchmarks/bench_algorithms_speedup.py``
-    gates the wall-clock ratio at >=3x.  The centralised Stoer--Wagner
-    oracle is skipped (``compute_exact=False``): it is identical dead
-    weight in both arms and no part of the distributed algorithm.  Timing
-    is best of ``repeats``.
-    """
-    cache = InstanceCache()
-    instance = build_instance("planar", {"side": side}, seed=seed, cache=cache)
-    instance.view  # warm the shared conversion (one per sweep)
-    tree = instance.tree
-    weighted = instance.weighted_graph(seed, low=1, high=10)
-
-    def run_workload():
-        mst = boruvka_mst(weighted, tree=tree)
-        cut = approximate_min_cut(
-            weighted, epsilon=epsilon, tree=tree, compute_exact=False
-        )
-        return mst, cut
-
-    fast_seconds, (fast_mst, fast_cut) = _best_of(run_workload, repeats)
-    with networkx_reference_paths():
-        reference_seconds, (reference_mst, reference_cut) = _best_of(run_workload, repeats)
-    agree = (
-        fast_mst.edges == reference_mst.edges
-        and fast_mst.weight == reference_mst.weight
-        and fast_mst.rounds == reference_mst.rounds
-        and fast_mst.phase_rounds == reference_mst.phase_rounds
-        and fast_mst.phase_qualities == reference_mst.phase_qualities
-        and fast_cut.value == reference_cut.value
-        and fast_cut.side == reference_cut.side
-        and fast_cut.cut_edges == reference_cut.cut_edges
-        and fast_cut.rounds == reference_cut.rounds
-        and fast_cut.tree_rounds == reference_cut.tree_rounds
-    )
-    return {
-        "experiment": "S5-algorithms-speedup",
-        "n": side * side,
-        "epsilon": epsilon,
-        "mst_rounds": fast_mst.rounds,
-        "mst_phases": fast_mst.phases,
-        "mincut_value": fast_cut.value,
-        "mincut_rounds": fast_cut.rounds,
-        "num_trees": fast_cut.num_trees,
-        "fast_seconds": fast_seconds,
-        "reference_seconds": reference_seconds,
-        "speedup": reference_seconds / max(fast_seconds, 1e-9),
-        "results_agree": agree,
-    }
-
-
-def experiment_construction_speedup(
-    side: int = 30,
-    seed: int = 23,
-    parts_kind: str = "path",
-    repeats: int = 3,
-) -> dict:
-    """S4 -- the array-native construction engine versus the networkx reference.
-
-    Times the full ``oblivious_shortcut`` budget sweep on a ``side x side``
-    planar grid twice: once on the :class:`~repro.shortcuts.ConstructionEngine`
-    fast path (Euler-tour benefits, Steiner edge ids computed once per sweep,
-    incremental per-budget quality) and once with the preserved seed
-    implementation forced via :func:`repro.core.networkx_reference_paths`
-    (per-budget Steiner re-derivation, O(n) subtree sets per Steiner edge per
-    part, fresh quality measurement per candidate).  Both arms must produce
-    the identical shortcut -- edge sets, chosen budget and measured quality
-    -- and ``benchmarks/bench_construction_speedup.py`` gates the wall-clock
-    ratio at >=3x.  Timing is best of ``repeats``.
-    """
-    cache = InstanceCache()
-    instance = build_instance("planar", {"side": side}, seed=seed, cache=cache)
-    instance.view  # warm the shared conversion (one per sweep)
-    tree = instance.tree
-    parts = instance.parts(parts_kind)
-    instance.part_set(parts_kind)  # warm the int-indexed family next to the view
-    graph = instance.graph
-
-    def construct():
-        return oblivious_shortcut(graph, tree, parts)
-
-    fast_seconds, fast_shortcut = _best_of(construct, repeats)
-    with networkx_reference_paths():
-        reference_seconds, reference_shortcut = _best_of(construct, repeats)
-    agree = (
-        fast_shortcut.edge_sets == reference_shortcut.edge_sets
-        and fast_shortcut.chosen_budget == reference_shortcut.chosen_budget
-        and fast_shortcut.measure() == reference_shortcut.measure()
-    )
-    return {
-        "experiment": "S4-construction-speedup",
-        "n": side * side,
-        "parts_kind": parts_kind,
-        "num_parts": len(parts),
-        "chosen_budget": fast_shortcut.chosen_budget,
-        "engine_seconds": fast_seconds,
-        "reference_seconds": reference_seconds,
-        "speedup": reference_seconds / max(fast_seconds, 1e-9),
-        "results_agree": agree,
-        "measure": fast_shortcut.measure().as_row(),
     }
 
 

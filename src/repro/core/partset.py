@@ -87,7 +87,7 @@ class PartSet:
         """Build a part set directly from per-part vertex *index* lists.
 
         This is the construction boundary of the array-native algorithm
-        layer: the Boruvka fast path keeps its fragments as flat index lists
+        layer: the Boruvka loop keeps its fragments as flat index lists
         and never owns label frozensets -- the label :attr:`parts` of the
         returned set are derived lazily (:meth:`label_parts`) and only if a
         label-space consumer (a structural shortcut constructor, a

@@ -45,10 +45,6 @@ class MinorFreeGraph:
     def number_of_nodes(self) -> int:
         return self.graph.number_of_nodes()
 
-    def bag_witnesses(self) -> dict[int, object | None]:
-        """Return the per-bag construction witnesses keyed by bag index."""
-        return {index: bag.witness for index, bag in self.decomposition.bags.items()}
-
 
 def planar_plus_apex(
     rows: int = 12,

@@ -7,7 +7,7 @@ inverts that direction: the generators here emit flat edge arrays with a
 vectorised numpy pipeline, assemble the CSR :class:`~repro.core.CoreGraph`
 directly, and wrap it in a *lazy* view
 (:meth:`~repro.core.GraphView.from_core`) whose ``nx.Graph`` is only ever
-materialised if a reference path or validator asks for it.
+materialised if a seed oracle or validator asks for it.
 
 The native output is pinned **exactly equal** to the preserved ``nx``
 generator converted via ``GraphView`` -- same canonical node ordering, same

@@ -211,23 +211,6 @@ def embedding_faces(embedding: nx.PlanarEmbedding) -> list[tuple]:
     return faces
 
 
-def planar_quality_targets(diameter: int) -> dict[str, float]:
-    """Return the Theorem 4 target bounds for a given spanning-tree diameter.
-
-    Used by the experiment harness to annotate measured planar shortcut
-    quality with the asymptotic bound the paper cites:
-    block ``O(log d)``, congestion ``O(d log d)``, quality ``O(d log d)``.
-    """
-    import math
-
-    log_d = math.log2(diameter + 2)
-    return {
-        "block_target": log_d,
-        "congestion_target": diameter * log_d,
-        "quality_target": diameter * log_d,
-    }
-
-
 def boundary_cycle(rows: int, cols: int, graph: nx.Graph | None = None) -> Sequence[int]:
     """Return the outer boundary cycle of a ``rows x cols`` grid, as node labels.
 

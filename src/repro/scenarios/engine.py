@@ -40,7 +40,6 @@ from typing import Iterable, Mapping, Sequence
 from ..congest.faults import FaultModel, parse_fault_spec
 from ..congest.runtime import RuntimeSimulator
 from ..congest.simulator import CongestSimulator
-from ..core import core_enabled, networkx_reference_paths
 from .instances import InstanceCache, ScenarioInstance
 from .registry import (
     algorithm,
@@ -294,23 +293,12 @@ _WORKER_CACHE: InstanceCache | None = None
 
 
 def _run_scenario_job(
-    payload: tuple[Scenario, type, bool, FaultModel | None, int]
+    payload: tuple[Scenario, type, FaultModel | None, int]
 ) -> dict[str, object]:
     global _WORKER_CACHE
-    scenario, simulator_cls, use_core, faults, fault_seed = payload
+    scenario, simulator_cls, faults, fault_seed = payload
     if _WORKER_CACHE is None:
         _WORKER_CACHE = InstanceCache()
-    if not use_core:
-        # The parent sweep ran inside networkx_reference_paths(); mirror that
-        # in the worker (the flag is a module global, not inherited by spawn).
-        with networkx_reference_paths():
-            return run_scenario(
-                scenario,
-                cache=_WORKER_CACHE,
-                simulator_cls=simulator_cls,
-                faults=faults,
-                fault_seed=fault_seed,
-            ).as_dict()
     return run_scenario(
         scenario,
         cache=_WORKER_CACHE,
@@ -350,10 +338,7 @@ def run_matrix(
     model = _resolve_faults(faults)
     scenarios = list(scenarios)
     if jobs is not None and jobs > 1 and len(scenarios) > 1:
-        payloads = [
-            (scenario, simulator_cls, core_enabled(), model, fault_seed)
-            for scenario in scenarios
-        ]
+        payloads = [(scenario, simulator_cls, model, fault_seed) for scenario in scenarios]
         with ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as pool:
             return list(pool.map(_run_scenario_job, payloads))
     cache = cache if cache is not None else InstanceCache()

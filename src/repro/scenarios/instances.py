@@ -23,7 +23,7 @@ from typing import Hashable, Mapping
 
 import networkx as nx
 
-from ..core import GraphView, PartSet, core_enabled, part_set_of, view_of
+from ..core import GraphView, PartSet, part_set_of, view_of
 from ..errors import InvalidGraphError
 from ..graphs.weights import assign_random_weights
 from ..shortcuts.parts import path_parts, singleton_parts, tree_fragment_parts
@@ -114,11 +114,7 @@ class ScenarioInstance:
     def tree(self) -> RootedTree:
         """The shared BFS spanning tree ``T`` (built once per instance)."""
         if self._tree is None:
-            if self.native:
-                graph = self.view
-            else:
-                graph = self.view if core_enabled() else self.graph
-            self._tree = bfs_spanning_tree(graph)
+            self._tree = bfs_spanning_tree(self.view)
         return self._tree
 
     def parts(self, kind: str = "tree_fragments", **kwargs) -> list[frozenset]:

@@ -30,7 +30,7 @@ import networkx as nx
 from ..algorithms.mincut import approximate_min_cut
 from ..algorithms.mst import boruvka_mst, native_mst_weight, reference_mst_weight
 from ..congest.aggregation import partwise_aggregate
-from ..core import GraphView, core_enabled, view_of
+from ..core import GraphView, view_of
 from ..congest.faults import FaultModel, FaultSchedule
 from ..congest.primitives import broadcast_value, distributed_bfs_tree, robust_bfs_tree
 from ..congest.simulator import CongestSimulator
@@ -509,10 +509,8 @@ def _run_mst(
     programs under ``simulator_cls``; their wall-clock time is reported as
     ``sim_seconds`` (the quantity the speedup benchmark compares across
     simulator implementations) alongside the simulators' round telemetry.
-    By default the simulated phases run in core mode (the weighted graph's
-    :class:`~repro.core.GraphView`); inside
-    :func:`repro.core.networkx_reference_paths` they run on the ``nx`` graph
-    exactly as before the CoreGraph refactor.
+    The simulated phases run in core mode (on the weighted graph's
+    :class:`~repro.core.GraphView`).
 
     An active ``faults`` model runs both simulated phases under one seeded
     :class:`~repro.congest.faults.FaultSchedule`: the BFS build switches to
@@ -529,7 +527,7 @@ def _run_mst(
         network = weighted
         root = min(weighted.nodes, key=repr)
     else:
-        network = view_of(weighted) if core_enabled() else weighted
+        network = view_of(weighted)
         root = min(weighted.nodes(), key=repr)
     schedule = None
     if faults is not None and not faults.is_null:

@@ -53,7 +53,7 @@ class EngineScratch:
 
     One :class:`ConstructionEngine` allocates three length-``n`` arrays for
     its Steiner derivation.  Built once per construction that is fine; the
-    Boruvka fast path builds a fresh engine *per phase* over the same view,
+    Boruvka loop builds a fresh engine *per phase* over the same view,
     so it threads one scratch through the whole run -- the epoch counter is
     persistent, which makes re-use O(1) (no clearing pass between phases).
     """
@@ -78,7 +78,7 @@ class ConstructionEngine:
 
     The part family may be supplied either as label frozensets (``parts``)
     or directly as an int-indexed :class:`~repro.core.PartSet`
-    (``part_set``); the Boruvka fast path uses the latter so per-phase
+    (``part_set``); the Boruvka loop uses the latter so per-phase
     fragment families never round-trip through labels.  ``scratch`` is an
     optional :class:`EngineScratch` shared across engines over the same
     view (one allocation per MST run instead of one per phase).

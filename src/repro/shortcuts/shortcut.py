@@ -20,24 +20,24 @@ The measurements run on flat arrays over the graph's shared
 :class:`~repro.core.GraphView`: congestion is a bulk counter update and the
 block parameter a union-find over vertex indices, instead of one
 ``nx.Graph``-plus-``connected_components`` construction per part.  The
-original per-part ``networkx`` recomputation is preserved as
-:meth:`Shortcut.measure_reference` (and :meth:`block_components`, which
-still returns the actual component sets); the differential tests pin the
-fast path against it on every graph family.
+original per-part ``networkx`` recomputation is kept as the oracle
+``measure_reference`` in ``tests/oracles/`` (built on
+:meth:`Shortcut.block_components`, which still returns the actual
+component sets); the differential tests pin the measurement against it on
+every graph family.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
 
-from ..core import core_enabled, part_set_of, view_of
+from ..core import part_set_of, view_of
 from ..errors import InvalidShortcutError
 from ..structure.spanning import RootedTree
-from ..utils import canonical_edge
 
 Edge = tuple[Hashable, Hashable]
 
@@ -289,12 +289,6 @@ class Shortcut:
 
     def congestion(self) -> int:
         """Return the congestion (Definition 11): max parts sharing one edge."""
-        if not core_enabled():
-            counts: dict[Edge, int] = {}
-            for edges in self.edge_sets:
-                for edge in edges:
-                    counts[edge] = counts.get(edge, 0) + 1
-            return max(counts.values(), default=0)
         congestion: Counter = Counter()
         for edges, multiplicity in self._edge_set_multiplicities():
             if multiplicity == 1:
@@ -349,8 +343,6 @@ class Shortcut:
         subgraph is ever materialised.  Parts with empty ``H_i`` short-circuit
         to ``|P_i|``.
         """
-        if not core_enabled():
-            return self.block_parameter_reference()
         worst = 0
         union_find: _EpochUnionFind | None = None
         part_set = None
@@ -388,12 +380,6 @@ class Shortcut:
                 worst = max(worst, len(roots))
         return worst
 
-    def block_parameter_reference(self) -> int:
-        """The pre-CoreGraph block parameter (per-part nx components)."""
-        return max(
-            (len(self.block_components(i)) for i in range(self.num_parts)), default=0
-        )
-
     def quality(self, tree_diameter: int | None = None) -> int:
         """Return the quality ``b * d + c`` (Definition 13)."""
         d = tree_diameter if tree_diameter is not None else self.tree_diameter()
@@ -404,34 +390,6 @@ class Shortcut:
         d = self.tree_diameter()
         block = self.block_parameter()
         congestion = self.congestion()
-        return ShortcutQuality(
-            congestion=congestion,
-            block=block,
-            tree_diameter=d,
-            quality=block * d + congestion,
-            num_parts=self.num_parts,
-            total_shortcut_edges=sum(len(edges) for edges in self.edge_sets),
-        )
-
-    def measure_reference(self) -> ShortcutQuality:
-        """The pre-CoreGraph measurement path, kept as a differential oracle.
-
-        Re-measures congestion with a per-edge dict walk, the block parameter
-        with one ``nx.Graph`` + ``connected_components`` per part, and the
-        tree diameter through an ``nx`` double BFS -- exactly the seed
-        implementation.  ``benchmarks/bench_core_speedup.py`` uses this as
-        the baseline for the >=2x gate, and the differential tests assert
-        ``measure() == measure_reference()`` on every family.
-        """
-        congestion_map: dict[Edge, int] = {}
-        for edges in self.edge_sets:
-            for edge in edges:
-                congestion_map[edge] = congestion_map.get(edge, 0) + 1
-        congestion = max(congestion_map.values(), default=0)
-        block = self.block_parameter_reference()
-        # Same memoised tree diameter as measure(): the pre-refactor code
-        # cached it too, so it is deliberately not part of the comparison.
-        d = self.tree_diameter()
         return ShortcutQuality(
             congestion=congestion,
             block=block,

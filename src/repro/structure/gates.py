@@ -29,11 +29,11 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import networkx as nx
 
-from ..core import core_enabled, view_of
+from ..core import view_of
 from ..errors import InvalidPartitionError
 from .cells import CellPartition
 from .spanning import bfs_spanning_tree
@@ -74,68 +74,15 @@ def validate_gates(graph: nx.Graph, collection: GateCollection) -> float:
     Raises :class:`InvalidPartitionError` on any violation.  Property (6) is
     not a yes/no property (it defines ``s``), so it is returned as a number.
 
-    The properties run on int-indexed flat arrays (the cells'
-    :class:`~repro.core.PartSet` owner array, CSR adjacency slices and
-    per-vertex gate-id lists) unless the networkx reference paths are
-    forced, in which case the original label-keyed checks run; both modes
-    accept and reject exactly the same collections.
-    """
-    if core_enabled():
-        return _validate_gates_core(graph, collection)
-    partition = collection.partition
-    cell_of = partition.cell_of()
-
-    for index, gate_pair in enumerate(collection.gates):
-        fence, gate = gate_pair.fence, gate_pair.gate
-        # Property 1 is enforced by the CombinatorialGate constructor.
-        # Property 2: the boundary of the gate is contained in the fence.
-        for vertex in gate:
-            if vertex not in graph:
-                raise InvalidPartitionError(f"gate {index} contains non-graph vertex {vertex}")
-            on_boundary = any(neighbour not in gate for neighbour in graph.neighbors(vertex))
-            if on_boundary and vertex not in fence:
-                raise InvalidPartitionError(
-                    f"gate {index}: boundary vertex {vertex} is not in the fence (property 2)"
-                )
-        # Property 4: the gate intersects at most two cells.
-        touched = {cell_of[v] for v in gate if v in cell_of}
-        if len(touched) > 2:
-            raise InvalidPartitionError(
-                f"gate {index} intersects {len(touched)} cells (property 4 allows 2)"
-            )
-
-    # Property 3: every inter-cell edge is covered by some gate.
-    for u, v in graph.edges():
-        cu, cv = cell_of.get(u), cell_of.get(v)
-        if cu is None or cv is None or cu == cv:
-            continue
-        if not any(u in gate.gate and v in gate.gate for gate in collection.gates):
-            raise InvalidPartitionError(
-                f"inter-cell edge ({u}, {v}) is covered by no gate (property 3)"
-            )
-
-    # Property 5: non-fence gate vertices are globally disjoint.
-    owner: dict[Hashable, int] = {}
-    for index, gate_pair in enumerate(collection.gates):
-        for vertex in gate_pair.gate - gate_pair.fence:
-            if vertex in owner:
-                raise InvalidPartitionError(
-                    f"vertex {vertex} is a non-fence member of gates {owner[vertex]} and "
-                    f"{index} (property 5)"
-                )
-            owner[vertex] = index
-
-    return collection.measured_s()
-
-
-def _validate_gates_core(graph: nx.Graph, collection: GateCollection) -> float:
-    """The array-native Definition 17 checker (same verdicts as the nx path).
-
-    Gate membership becomes one epoch-stamped array, the cell lookup one
-    owner-array read and property 3 one pass over the CSR edges with
-    per-vertex gate-id lists -- the label path's ``any(... for gate in
-    collection.gates)`` per inter-cell edge made validation quadratic in
-    the gate count.
+    The properties run on int-indexed flat arrays: gate membership is one
+    epoch-stamped array, the cell lookup one read of the cells'
+    :class:`~repro.core.PartSet` owner array, and property 3 one pass over
+    the CSR edges with per-vertex gate-id lists (a label-keyed
+    ``any(... for gate in collection.gates)`` per inter-cell edge makes
+    validation quadratic in the gate count).  The seed label-keyed checker
+    is kept as the oracle ``validate_gates_reference`` in
+    ``tests/oracles/``; both accept and reject exactly the same
+    collections.
     """
     partition = collection.partition
     view = view_of(graph)
@@ -146,10 +93,10 @@ def _validate_gates_core(graph: nx.Graph, collection: GateCollection) -> float:
     try:
         owner = partition.part_set(graph).owner_array()
     except InvalidPartitionError:
-        # A cell contains non-graph vertices.  The label path's cell_of()
+        # A cell contains non-graph vertices.  CellPartition.cell_of()
         # silently ignores such vertices (they can never meet a gate or an
-        # edge endpoint), so mirror that here rather than rejecting a
-        # collection the reference path accepts.
+        # edge endpoint), so mirror that here rather than rejecting the
+        # collection.
         owner = [-1] * n
         for cell_index, cell in enumerate(partition.cells):
             for vertex in cell:

@@ -52,7 +52,7 @@ class RootedTree:
         self._compute_depths()
         self._euler: EulerTourIndex | None = None
         # Both caches are safe because the parent map is fixed after
-        # construction; the Boruvka fast path re-reads both every phase.
+        # construction; the Boruvka loop re-reads both every phase.
         self._edge_set: frozenset[Edge] | None = None
         self._diameter: int | None = None
 
@@ -139,13 +139,6 @@ class RootedTree:
 
     # -- paths and ancestors ---------------------------------------------
 
-    def path_to_root(self, node: Hashable) -> list[Hashable]:
-        """Return the node sequence from ``node`` up to the root (inclusive)."""
-        path = [node]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])
-        return path
-
     def lowest_common_ancestor(self, u: Hashable, v: Hashable) -> Hashable:
         """Return the LCA of ``u`` and ``v`` (linear-time walk, fine for our sizes)."""
         du, dv = self.depth[u], self.depth[v]
@@ -174,11 +167,6 @@ class RootedTree:
             down.append(node)
             node = self.parent[node]
         return up + [ancestor] + list(reversed(down))
-
-    def path_edges(self, u: Hashable, v: Hashable) -> set[Edge]:
-        """Return the canonical edges of the tree path between ``u`` and ``v``."""
-        path = self.tree_path(u, v)
-        return {canonical_edge(a, b) for a, b in zip(path, path[1:])}
 
     def subtree_nodes(self, node: Hashable) -> set[Hashable]:
         """Return all nodes in the subtree rooted at ``node`` (including it)."""

@@ -2,15 +2,15 @@
 
 Three layers:
 
-* **differential** -- the array-native fast paths of
-  :func:`repro.algorithms.boruvka_mst` and
-  :func:`repro.algorithms.approximate_min_cut` must reproduce the preserved
-  seed implementations *exactly* (MST edges/weight/rounds/phases/qualities;
-  cut value/side/edges/rounds) across every registered graph family, for
-  both engine-capable and witness-closure shortcut builders;
+* **differential** -- :func:`repro.algorithms.boruvka_mst` and
+  :func:`repro.algorithms.approximate_min_cut` must reproduce the seed
+  oracles in ``tests/oracles/`` *exactly* (MST
+  edges/weight/rounds/phases/qualities; cut value/side/edges/rounds) across
+  every registered graph family, for both engine-capable and
+  witness-closure shortcut builders;
 * **substrate** -- the index-native :meth:`PartSet.from_member_lists`
-  construction and the indexed aggregation entry point agree with their
-  label twins;
+  construction agrees with its label twin, and both aggregation entry
+  points agree with the seed scheduler on every family;
 * **satellites** -- the ROADMAP open items fixed alongside: the
   ``graph_diameter`` approximate-regime tie-break (pinned above the
   400-node exact threshold), the unified simulator exception contract, and
@@ -30,13 +30,19 @@ from repro.algorithms.mst import boruvka_mst, oblivious_builder
 from repro.congest.aggregation import partwise_aggregate, partwise_aggregate_indexed
 from repro.congest.node import NodeProgram
 from repro.congest.simulator import CongestSimulator
-from repro.core import PartSet, networkx_reference_paths, view_of
+from repro.core import PartSet, view_of
 from repro.errors import InvalidGraphError
 from repro.graphs.planar import cycle_graph, grid_graph, random_delaunay_triangulation
 from repro.scenarios import build_instance, family_names
 from repro.scenarios.registry import constructor as scenario_constructor
 from repro.shortcuts.baseline import steiner_shortcut
-from repro.structure.spanning import bfs_spanning_tree, graph_diameter
+from repro.structure.spanning import graph_diameter
+
+from oracles import (
+    approximate_min_cut_reference,
+    boruvka_mst_reference,
+    partwise_aggregate_reference,
+)
 
 _INSTANCES: dict = {}
 
@@ -72,25 +78,23 @@ def _assert_mincut_equal(fast, reference):
 
 @pytest.mark.parametrize("family_name", family_names())
 def test_boruvka_fast_path_matches_reference(family_name):
-    """Array-native Boruvka == preserved seed loop on every family."""
+    """Array-native Boruvka == the seed Boruvka oracle on every family."""
     instance = _family_instance(family_name)
     weighted = instance.weighted_graph(3)
     tree = instance.tree
     fast = boruvka_mst(weighted, tree=tree)
-    with networkx_reference_paths():
-        reference = boruvka_mst(weighted, tree=tree)
+    reference = boruvka_mst_reference(weighted, tree=tree)
     _assert_mst_equal(fast, reference)
 
 
 @pytest.mark.parametrize("family_name", family_names())
 def test_mincut_fast_path_matches_reference(family_name):
-    """Array-native tree packing + respecting cuts == preserved seed sweep."""
+    """Array-native tree packing + respecting cuts == the seed min-cut oracle."""
     instance = _family_instance(family_name)
     weighted = instance.weighted_graph(3, low=1, high=10)
     tree = instance.tree
     fast = approximate_min_cut(weighted, epsilon=1.0, tree=tree)
-    with networkx_reference_paths():
-        reference = approximate_min_cut(weighted, epsilon=1.0, tree=tree)
+    reference = approximate_min_cut_reference(weighted, epsilon=1.0, tree=tree)
     _assert_mincut_equal(fast, reference)
 
 
@@ -118,8 +122,7 @@ def test_boruvka_fast_path_with_witness_builder_matches_reference():
     builder = scenario_constructor("apex").builder_for(instance)
     assert not getattr(builder, "uses_engine", False)
     fast = boruvka_mst(weighted, shortcut_builder=builder, tree=tree)
-    with networkx_reference_paths():
-        reference = boruvka_mst(weighted, shortcut_builder=builder, tree=tree)
+    reference = boruvka_mst_reference(weighted, shortcut_builder=builder, tree=tree)
     _assert_mst_equal(fast, reference)
 
 
@@ -133,8 +136,7 @@ def test_boruvka_reads_weights_assigned_after_viewing():
     first = boruvka_mst(graph)
     assign_random_weights(graph, seed=12, integer=True)
     second = boruvka_mst(graph)
-    with networkx_reference_paths():
-        reference = boruvka_mst(graph)
+    reference = boruvka_mst_reference(graph)
     _assert_mst_equal(second, reference)
     assert first.weight != second.weight  # the reassignment was visible
 
@@ -171,25 +173,31 @@ def test_part_set_from_member_lists_is_lazy_and_equal():
     assert part_set.parts is labels  # cached
 
 
-def test_partwise_aggregate_indexed_matches_label_entry_point():
-    graph = grid_graph(5, 5)
-    view = view_of(graph)
-    tree = bfs_spanning_tree(view)
-    parts = [frozenset(list(graph.nodes())[:7]), frozenset(list(graph.nodes())[12:20])]
-    parts = [part for part in parts if nx.is_connected(graph.subgraph(part))]
-    shortcut = steiner_shortcut(graph, tree, parts)
-    label_values = {node: (hash(node) % 97) for node in graph.nodes()}
-    indexed_values = [label_values[view.nodes[index]] for index in range(len(view))]
-    by_label = partwise_aggregate(shortcut, label_values, combine=min)
-    by_index = partwise_aggregate_indexed(shortcut, indexed_values, combine=min)
-    assert by_label.values == by_index.values
-    assert by_label.rounds == by_index.rounds
-    assert by_label.messages == by_index.messages
-    assert by_label.per_part_rounds == by_index.per_part_rounds
-    with networkx_reference_paths():
-        reference = partwise_aggregate_indexed(shortcut, indexed_values, combine=min)
-    assert reference.values == by_index.values
-    assert reference.rounds == by_index.rounds
+@pytest.mark.parametrize("family_name", family_names())
+def test_partwise_aggregate_indexed_matches_label_entry_point(family_name):
+    """Both entry points == the seed scheduler, for min and an ordered combine.
+
+    Tuple concatenation is associative but not commutative, so it pins the
+    order in which every aggregation tree folds its children, not just the
+    aggregate.  Engine-built parts carry index-space edge lists; the steiner
+    shortcut is label-built, so both hand-offs into the scheduler run.
+    """
+    instance = _family_instance(family_name)
+    view = instance.view
+    parts = instance.parts("tree_fragments", num_parts=6, seed=3)
+    shortcuts = [
+        scenario_constructor("oblivious").build(instance, instance.tree, parts),
+        steiner_shortcut(instance.graph, instance.tree, parts),
+    ]
+    for combine, label_values in (
+        (min, {node: (index * 37) % 97 for index, node in enumerate(view.nodes)}),
+        (lambda a, b: a + b, {node: (node,) for node in view.nodes}),
+    ):
+        indexed_values = [label_values[node] for node in view.nodes]
+        for shortcut in shortcuts:
+            reference = partwise_aggregate_reference(shortcut, label_values, combine=combine)
+            assert partwise_aggregate(shortcut, label_values, combine=combine) == reference
+            assert partwise_aggregate_indexed(shortcut, indexed_values, combine=combine) == reference
 
 
 # ---------------------------------------------------------------- satellites

@@ -2,11 +2,11 @@
 
 Three layers:
 
-* **differential** -- the :class:`~repro.shortcuts.ConstructionEngine` fast
-  path of ``oblivious_shortcut`` / ``congestion_capped_shortcut`` must
-  reproduce the preserved ``networkx`` reference implementation *exactly*
-  (edge sets, congestion, blocks, chosen budget) across every registered
-  graph family and every part generator kind;
+* **differential** -- the :class:`~repro.shortcuts.ConstructionEngine`
+  behind ``oblivious_shortcut`` / ``congestion_capped_shortcut`` must
+  reproduce the seed oracles in ``tests/oracles/`` *exactly* (edge sets,
+  congestion, blocks, chosen budget) across every registered graph family
+  and every part generator kind;
 * **property** -- the incremental budget sweep's per-budget quality must
   equal a from-scratch ``congestion_capped_shortcut`` at each budget,
   including unsorted, duplicated and negative budget schedules;
@@ -20,7 +20,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.core import networkx_reference_paths, part_set_of, view_of
+from repro.core import part_set_of, view_of
 from repro.graphs.planar import grid_graph, wheel_graph
 from repro.scenarios import build_instance, family_names
 from repro.shortcuts.congestion_capped import (
@@ -31,6 +31,14 @@ from repro.shortcuts.congestion_capped import (
 from repro.shortcuts.engine import ConstructionEngine
 from repro.shortcuts.parts import path_parts, singleton_parts, tree_fragment_parts
 from repro.structure.spanning import bfs_spanning_tree
+
+from oracles import (
+    block_parameter_reference,
+    congestion_capped_reference,
+    measure_reference,
+    oblivious_shortcut_reference,
+    validate_gates_reference,
+)
 
 PART_KINDS = ("tree_fragments", "path", "singleton")
 
@@ -55,19 +63,18 @@ def _family_parts(instance, kind):
 @pytest.mark.parametrize("kind", PART_KINDS)
 @pytest.mark.parametrize("family_name", family_names())
 def test_oblivious_engine_matches_reference(family_name, kind):
-    """Engine sweep == preserved seed sweep: edge sets, measures, chosen budget."""
+    """Engine sweep == seed sweep oracle: edge sets, measures, chosen budget."""
     instance = _family_instance(family_name)
     graph, tree = instance.graph, instance.tree
     parts = _family_parts(instance, kind)
     fast = oblivious_shortcut(graph, tree, parts)
-    with networkx_reference_paths():
-        reference = oblivious_shortcut(graph, tree, parts)
+    reference = oblivious_shortcut_reference(graph, tree, parts)
     assert fast.edge_sets == reference.edge_sets
     assert fast.chosen_budget == reference.chosen_budget
+    assert fast.chosen_quality == reference.chosen_quality
     assert fast.constructor == reference.constructor == "oblivious"
-    assert fast.congestion() == reference.congestion()
-    assert fast.block_parameter() == reference.block_parameter()
-    assert fast.measure() == reference.measure() == reference.measure_reference()
+    assert fast.block_parameter() == block_parameter_reference(reference)
+    assert fast.measure() == measure_reference(reference)
 
 
 @pytest.mark.parametrize("family_name", family_names())
@@ -77,10 +84,7 @@ def test_congestion_capped_engine_matches_reference_per_budget(family_name):
     parts = _family_parts(instance, "tree_fragments")
     for budget in (0, 1, 2, 3, len(parts)):
         fast = congestion_capped_shortcut(graph, tree, parts, congestion_budget=budget)
-        with networkx_reference_paths():
-            reference = congestion_capped_shortcut(
-                graph, tree, parts, congestion_budget=budget
-            )
+        reference = congestion_capped_reference(graph, tree, parts, budget)
         assert fast.edge_sets == reference.edge_sets, budget
         assert fast.constructor == reference.constructor, budget
         fast.validate()
@@ -115,11 +119,10 @@ def test_sweep_handles_unsorted_duplicate_and_negative_budgets():
     parts = tree_fragment_parts(graph, tree, num_parts=7, seed=5)
     budgets = [4, 1, 4, -3, 2, 1, 9]
     fast = oblivious_shortcut(graph, tree, parts, budgets=budgets)
-    with networkx_reference_paths():
-        reference = oblivious_shortcut(graph, tree, parts, budgets=budgets)
+    reference = oblivious_shortcut_reference(graph, tree, parts, budgets=budgets)
     assert fast.edge_sets == reference.edge_sets
     assert fast.chosen_budget == reference.chosen_budget
-    assert fast.measure() == reference.measure()
+    assert fast.measure() == measure_reference(reference)
 
 
 def test_default_budget_schedule_is_strictly_increasing_to_num_parts():
@@ -147,10 +150,6 @@ def test_oblivious_validates_parts_once_per_sweep(monkeypatch):
     tree = bfs_spanning_tree(graph)
     parts = tree_fragment_parts(graph, tree, num_parts=5, seed=1)
     oblivious_shortcut(graph, tree, parts)
-    assert calls["count"] == 1
-    calls["count"] = 0
-    with networkx_reference_paths():
-        oblivious_shortcut(graph, tree, parts)
     assert calls["count"] == 1
 
 
@@ -243,20 +242,25 @@ def _first_violation(callable_):
 
 
 def test_validate_parts_reports_same_violation_in_both_modes():
-    """A later part's bad vertex must not mask an earlier violation (parity)."""
+    """A later part's bad vertex must not mask an earlier violation.
+
+    The family-wide part set cannot be built when a later part has a
+    non-graph vertex; the per-part fallback must still report the first
+    violation in part order, with the seed check's message.
+    """
     from repro.shortcuts.parts import validate_parts
 
     graph = nx.path_graph(4)
     cases = [
-        [frozenset({0}), frozenset({0}), frozenset({99})],  # overlap before missing
-        [frozenset({0, 3}), frozenset({99})],  # disconnection before missing
-        [frozenset({0}), frozenset(), frozenset({99})],  # empty before missing
+        # overlap before missing
+        ([frozenset({0}), frozenset({0}), frozenset({99})], "parts overlap on vertices [0]"),
+        # disconnection before missing
+        ([frozenset({0, 3}), frozenset({99})], "part 0 is not connected (Definition 9)"),
+        # empty before missing
+        ([frozenset({0}), frozenset(), frozenset({99})], "part 1 is empty"),
     ]
-    for parts in cases:
-        fast = _first_violation(lambda: validate_parts(graph, parts))
-        with networkx_reference_paths():
-            reference = _first_violation(lambda: validate_parts(graph, parts))
-        assert fast == reference is not None, parts
+    for parts, message in cases:
+        assert _first_violation(lambda: validate_parts(graph, parts)) == message, parts
 
 
 def test_cell_validate_reports_same_violation_in_both_modes():
@@ -264,14 +268,14 @@ def test_cell_validate_reports_same_violation_in_both_modes():
 
     graph = nx.path_graph(4)
     partition = CellPartition(cells=[frozenset({0, 3}), frozenset({99})])
-    fast = _first_violation(lambda: partition.validate(graph))
-    with networkx_reference_paths():
-        reference = _first_violation(lambda: partition.validate(graph))
-    assert fast == reference is not None
+    assert (
+        _first_violation(lambda: partition.validate(graph))
+        == "cell 0 is not connected in the graph"
+    )
 
 
 def test_validate_gates_tolerates_stale_cells_like_reference():
-    """Cells with non-graph vertices: both modes ignore them (cell_of semantics)."""
+    """Cells with non-graph vertices: ignored, like the seed checker's cell_of."""
     from repro.structure.cells import CellPartition
     from repro.structure.gates import CombinatorialGate, GateCollection, validate_gates
 
@@ -281,10 +285,7 @@ def test_validate_gates_tolerates_stale_cells_like_reference():
     collection = GateCollection(
         gates=[CombinatorialGate(fence=gate, gate=gate)], partition=partition
     )
-    fast = validate_gates(graph, collection)
-    with networkx_reference_paths():
-        reference = validate_gates(graph, collection)
-    assert fast == reference
+    assert validate_gates(graph, collection) == validate_gates_reference(graph, collection)
 
 
 def test_scenario_instance_memoises_part_set():

@@ -6,14 +6,12 @@ Three layers:
   :class:`GraphView` conversion preserves labels, edges and effective edge
   weights, the index bijection is consistent, and witnesses survive (they
   live on the instance, untouched by the view);
-* **differential** -- the CoreGraph fast paths (BFS spanning trees, graph
+* **differential** -- the CoreGraph paths (BFS spanning trees, graph
   diameter, shortcut quality measurement, heavy-light chains, core-mode
-  simulator) must reproduce the ``networkx`` reference implementations
-  *exactly* on every family;
-* **end to end** -- a full tiny scenario matrix run inside
-  ``networkx_reference_paths()`` (every dual-path function forced down its
-  pre-CoreGraph branch) is record-for-record identical to the default
-  CSR-backed run.
+  simulator) must reproduce the ``networkx`` implementations and the seed
+  oracles in ``tests/oracles/`` *exactly* on every family;
+* **end to end** -- an ``mst`` scenario record equals a replay of the
+  workload on the seed Boruvka oracle and the label-mode simulator.
 """
 
 from __future__ import annotations
@@ -22,21 +20,22 @@ import networkx as nx
 import pytest
 
 from repro.congest.primitives import broadcast_value, distributed_bfs_tree, flood_max_id
-from repro.core import CoreGraph, GraphView, networkx_reference_paths, view_of
+from repro.core import CoreGraph, GraphView, view_of
 from repro.errors import InvalidGraphError
 from repro.graphs.planar import grid_graph
 from repro.graphs.weights import WEIGHT, assign_random_weights
 from repro.scenarios import (
-    InstanceCache,
+    Scenario,
     applicable_constructors,
     build_instance,
     constructor,
     family_names,
-    run_matrix,
-    scenario_matrix,
+    run_scenario,
 )
 from repro.structure.heavy_light import heavy_light_chains
 from repro.structure.spanning import bfs_spanning_tree, graph_diameter
+
+from oracles import boruvka_mst_reference, measure_reference
 
 
 # ----------------------------------------------------------------- CoreGraph
@@ -155,12 +154,12 @@ def test_core_diameter_matches_networkx(family_name):
 
 @pytest.mark.parametrize("family_name", family_names())
 def test_quality_measurement_matches_reference(family_name):
-    """measure() (flat arrays) == measure_reference() (per-part nx graphs)."""
+    """measure() (flat arrays) == the seed measure_reference (per-part nx graphs)."""
     instance = _family_instance(family_name)
     parts = instance.parts("tree_fragments", num_parts=6, seed=3)
     for name in applicable_constructors(instance):
         shortcut = constructor(name).build(instance, instance.tree, parts)
-        assert shortcut.measure() == shortcut.measure_reference(), name
+        assert shortcut.measure() == measure_reference(shortcut), name
 
 
 def _reference_heavy_light_chains(tree, root):
@@ -237,18 +236,8 @@ def test_core_mode_primitives_match_label_mode():
 # --------------------------------------------------------------- end to end
 
 
-def test_tiny_matrix_identical_with_and_without_core_paths():
-    cache = InstanceCache()
-    scenarios = scenario_matrix(size="tiny", cache=cache)
-    fast = run_matrix(scenarios, cache=cache)
-    with networkx_reference_paths():
-        reference = run_matrix(scenarios)
-    assert fast == reference
-
-
 def test_mst_scenario_identical_with_and_without_core_paths():
-    from repro.scenarios import Scenario, run_scenario
-
+    """The mst workload == its replay on the seed Boruvka oracle + label-mode simulator."""
     scenario = Scenario(
         name="planar/steiner/mst",
         family="planar",
@@ -257,8 +246,22 @@ def test_mst_scenario_identical_with_and_without_core_paths():
         params={"side": 6},
         seed=2,
     )
-    fast = run_scenario(scenario).as_dict()
-    with networkx_reference_paths():
-        reference = run_scenario(scenario).as_dict()
-    for key in ("mst_rounds", "mst_phases", "mst_weight", "sim_rounds", "sim_messages", "sim_words"):
-        assert fast["result"][key] == reference["result"][key], key
+    fast = run_scenario(scenario).as_dict()["result"]
+
+    instance = build_instance("planar", {"side": 6}, seed=2)
+    weighted = instance.weighted_graph(2)
+    root = min(weighted.nodes(), key=repr)
+    sim_tree, bfs_stats = distributed_bfs_tree(weighted, root)
+    mst = boruvka_mst_reference(
+        weighted,
+        shortcut_builder=constructor("steiner").builder_for(instance),
+        tree=sim_tree,
+    )
+    announce_stats = broadcast_value(weighted, root, round(mst.weight, 6))
+    assert fast["mst_rounds"] == mst.rounds
+    assert fast["mst_phases"] == mst.phases
+    assert fast["mst_weight"] == mst.weight
+    assert fast["phase_qualities"] == mst.phase_qualities
+    assert fast["sim_rounds"] == bfs_stats.rounds + announce_stats.rounds
+    assert fast["sim_messages"] == bfs_stats.messages + announce_stats.messages
+    assert fast["sim_words"] == bfs_stats.words + announce_stats.words

@@ -1,14 +1,14 @@
 """Differential wall: every CSR-native generator equals its ``nx`` twin.
 
-The dual-path contract of :mod:`repro.graphs.native` (the same pattern as
-:func:`repro.core.networkx_reference_paths`): for every family in
+The twin contract of :mod:`repro.graphs.native`: for every family in
 ``NATIVE_GENERATORS`` and every registered parameter case, the native
 generator's canonical node ordering, CSR structure arrays, and hashed edge
 weights are *exactly* equal -- not isomorphic, not approximately equal --
 to the preserved ``nx`` generator's output converted through
 :class:`~repro.core.GraphView`.  The lazy adapter must round-trip back to
-the twin graph, and the equality must hold inside the reference-paths
-context too, so either path can serve as the oracle for the other.
+the twin graph, and the seed Boruvka oracle (``tests/oracles/``) must see
+the same instance through either, so either path can serve as the oracle
+for the other.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core import networkx_reference_paths, nx_materializations, view_of
+from repro.core import nx_materializations, view_of
 from repro.graphs.native import NATIVE_GENERATORS, with_hashed_weights
 from repro.graphs.weights import WEIGHT, assign_hashed_weights
+
+from oracles import boruvka_mst_reference
 
 CASES = [
     pytest.param(family, dict(kwargs), id=f"{family}-{i}")
@@ -117,9 +119,12 @@ def test_lazy_adapter_round_trips_to_twin(family, kwargs):
 
 @pytest.mark.parametrize("family, kwargs", CASES)
 def test_equality_holds_under_reference_paths(family, kwargs):
-    with networkx_reference_paths():
-        native, twin = _pair(family, kwargs)
-        _assert_same_structure(native, view_of(twin))
+    """The seed Boruvka oracle sees one instance through the adapter and the twin."""
+    native_fn, twin_fn, _ = NATIVE_GENERATORS[family]
+    native = native_fn(**kwargs, weight_seed=5, integer=True)
+    twin = twin_fn(**kwargs)
+    assign_hashed_weights(twin, 5, integer=True)
+    assert boruvka_mst_reference(native.graph) == boruvka_mst_reference(twin)
 
 
 def test_unweighted_views_report_no_weights():

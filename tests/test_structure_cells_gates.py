@@ -23,6 +23,8 @@ from repro.structure.gates import (
 )
 from repro.structure.spanning import bfs_spanning_tree
 
+from oracles import validate_gates_reference
+
 
 # ------------------------------------------------------------------ cells
 
@@ -137,6 +139,7 @@ def test_trivial_gates_satisfy_definition_17():
     collection = trivial_gates(surface, cells)
     s = validate_gates(surface, collection)
     assert s > 0
+    assert s == validate_gates_reference(surface, collection)
 
 
 def test_planar_gates_satisfy_definition_17_and_report_s():
@@ -144,7 +147,7 @@ def test_planar_gates_satisfy_definition_17_and_report_s():
     collection = planar_gates(surface, cells)
     s = validate_gates(surface, collection)
     assert s >= 0
-    assert collection.measured_s() == s
+    assert collection.measured_s() == s == validate_gates_reference(surface, collection)
 
 
 def test_validate_gates_rejects_uncovered_inter_cell_edges():
@@ -154,6 +157,8 @@ def test_validate_gates_rejects_uncovered_inter_cell_edges():
     if len(cells) > 1:
         with pytest.raises(InvalidPartitionError):
             validate_gates(surface, broken)
+        with pytest.raises(InvalidPartitionError):
+            validate_gates_reference(surface, broken)
 
 
 def test_combinatorial_gate_requires_fence_inside_gate():
