@@ -37,8 +37,9 @@ benchmark gates the speedup).
 The loop is array-native: fragments are a flat union-find owner array over
 :class:`~repro.core.GraphView` indices, each phase's family is an
 incremental :meth:`~repro.core.PartSet.from_member_lists` part set, the
-MWOE search scans the CSR slices with tie-break keys precomputed once per
-run, the default oblivious builder drives
+MWOE search scans the CSR slices with the view's cached slot ranks
+(:meth:`~repro.core.GraphView.slot_order`) as tie-break keys, the default
+oblivious builder drives
 :class:`~repro.shortcuts.engine.ConstructionEngine` directly, and the
 aggregation runs through
 :func:`~repro.congest.aggregation.partwise_aggregate_indexed`.
@@ -55,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
 import networkx as nx
+import numpy as np
 
 from ..core import GraphView, PartSet, view_of
 from ..errors import ConvergenceError
@@ -193,35 +195,29 @@ def boruvka_mst(
     indptr, indices = core._indptr_list, core._indices_list
     node_of = view.nodes
 
-    # Canonical per-slot tie-break keys, computed once per run: the string for
-    # slot (u -> v) is byte-identical to repr(canonical_edge(u, v)), the key
-    # the seed oracle recomputes for every directed edge in every phase.
+    # Canonical per-slot tie-break keys: the view's slot rank of the edge's
+    # canonical (low index -> high index) slot.  Index order is repr order,
+    # so comparing these ranks compares the strings repr(canonical_edge(u,
+    # v)) the seed oracle recomputes for every directed edge in every phase.
     # Weights are re-read from the nx graph per run rather than taken from
     # the CSR cache: the frozen-once-viewed convention covers topology, but
     # callers legitimately reassign *weights* between runs over one graph
     # (the README quickstart does), and each run must see the current ones.
-    node_repr = [repr(label) for label in node_of]
-    slot_key = [""] * len(indices)
+    slots = view.slot_order()
+    slot_key = np.where(
+        slots.tail < slots.head, slots.rank, slots.rank[slots.reverse]
+    ).tolist()
     if isinstance(graph, GraphView):
         # Native instances carry their weights in the CSR arrays themselves
         # (the view is the primary representation -- there is no nx graph to
         # re-read, and weights are baked in at generation time).
         edge_weights = core._weights_list
-        for u in range(n):
-            ru = node_repr[u]
-            for offset in range(indptr[u], indptr[u + 1]):
-                rv = node_repr[indices[offset]]
-                slot_key[offset] = f"({ru}, {rv})" if ru <= rv else f"({rv}, {ru})"
     else:
         edge_weights = [1.0] * len(indices)
         for u in range(n):
-            ru = node_repr[u]
             adjacency = graph.adj[node_of[u]]
             for offset in range(indptr[u], indptr[u + 1]):
-                v = indices[offset]
-                rv = node_repr[v]
-                slot_key[offset] = f"({ru}, {rv})" if ru <= rv else f"({rv}, {ru})"
-                edge_weights[offset] = adjacency[node_of[v]].get(WEIGHT, 1.0)
+                edge_weights[offset] = adjacency[node_of[indices[offset]]].get(WEIGHT, 1.0)
 
     # Fragment state: a flat owner array (vertex index -> fragment root) and
     # incrementally merged member lists.  Roots are the minimum vertex index
@@ -241,7 +237,7 @@ def boruvka_mst(
     phase_qualities: list[int] = []
     sync_cost = max(1, tree.height)
     scratch = EngineScratch(n) if use_engine else None
-    infinity = (float("inf"), "", -1, -1)
+    infinity = (float("inf"), -1, -1, -1)
 
     for _phase in range(max_phases):
         if len(roots) <= 1:
@@ -264,7 +260,7 @@ def boruvka_mst(
         for u in range(n):
             fragment_u = frag[u]
             best_w = float("inf")
-            best_k = ""
+            best_k = -1
             best_v = -1
             for offset in range(indptr[u], indptr[u + 1]):
                 v = indices[offset]

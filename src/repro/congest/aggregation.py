@@ -26,16 +26,10 @@ convergecast that does run as node programs is
 the many-parts, shared-edges generalisation whose round counts realise the
 quality -> rounds argument of Theorem 1.
 
-Two entry points share one core scheduler:
+Two entry points share one scheduler:
 
 * :func:`partwise_aggregate` -- the label-keyed public primitive: ``values``
   maps node labels to inputs, per-part aggregates come back in part order.
-  The schedule runs entirely in vertex-index space (flat adjacency slices,
-  int-keyed queues, per-edge delivery keys derived from the label reprs
-  exactly once), producing round-for-round identical schedules to the seed
-  label-keyed scheduler, which is kept as the oracle
-  ``partwise_aggregate_reference`` in ``tests/oracles/``; the differential
-  tests pin the two equal on every family.
 * :func:`partwise_aggregate_indexed` -- the array-native twin used by the
   Boruvka loop (:mod:`repro.algorithms.mst`): ``values`` is a flat
   sequence indexed by :class:`~repro.core.GraphView` vertex index, so a
@@ -43,6 +37,28 @@ Two entry points share one core scheduler:
   dictionaries.  Aggregates, rounds and messages are identical to the
   label-keyed entry point by construction (the schedule never looks at the
   values).
+
+The scheduler is a calendar over integers, in two steps:
+
+* **Setup as arrays.**  Every part's aggregation tree comes out of one
+  array-built local graph (a node per ``(part, vertex)`` pair: the part's
+  members plus the relay endpoints of its shortcut edges) and one BFS per
+  part.  Each tree node carries the rank of the directed edge its up and
+  down messages cross, from the view's cached
+  :meth:`~repro.core.GraphView.slot_order`: sorting the ``2 m`` directed
+  slots once by their key ``repr((label_u, label_v))`` turns the seed
+  scheduler's per-round string ordering of edges into integer order.
+* **Calendar loop.**  A directed edge is a FIFO that delivers one message
+  per round and never idles while it holds one, so a message's delivery
+  round is fixed the moment it is sent: ``max(now + 1, next_free[edge])``.
+  Each round is one bucket of integer-coded tasks, sorted as plain ints
+  (edge rank first) and applied in that order, so even an order-sensitive
+  ``combine`` sees the oracle's sequence.
+
+The schedule is round-for-round identical to the seed label-keyed
+scheduler, kept as the oracle ``partwise_aggregate_reference`` in
+``tests/oracles/``; the differential and property tests pin the two equal
+(values, rounds, messages and per-part rounds) on every family.
 
 Shortcuts built by the array-native construction engine carry their part
 family and shortcut edges as vertex-index arrays
@@ -53,9 +69,11 @@ scheduler consumes those directly and only falls back to the label
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Hashable, Mapping, Sequence
+
+import numpy as np
 
 from ..errors import SimulationError
 from ..shortcuts.shortcut import Shortcut
@@ -103,6 +121,12 @@ def partwise_aggregate(
     Returns:
         An :class:`AggregationResult` with per-part aggregates and the exact
         number of rounds used by the greedy schedule.
+
+    Raises:
+        SimulationError: a part vertex has no value, a part is empty or
+            overlaps another, a shortcut edge is not a graph edge (CONGEST
+            sends only over graph edges), or the schedule needs more than
+            ``max_rounds + 1`` rounds.
     """
     return _partwise_aggregate_core(shortcut, values, None, combine, max_rounds)
 
@@ -118,17 +142,11 @@ def partwise_aggregate_indexed(
     ``values`` is a sequence of length ``n`` indexed by the
     :class:`~repro.core.GraphView` vertex index (full coverage -- every
     vertex has an entry, so the label path's missing-value check does not
-    apply).  This is the entry point for callers that already hold their
+    apply; another length raises :class:`~repro.errors.SimulationError`).  This is the entry point for callers that already hold their
     state in flat arrays, like the Boruvka MWOE step; it skips the
     label-dictionary round trip entirely.
     """
     return _partwise_aggregate_core(shortcut, None, values, combine, max_rounds)
-
-
-def _core_members(shortcut: Shortcut):
-    """Return (view, part_set) for the index-space scheduler."""
-    part_set = shortcut.part_set()
-    return part_set.view, part_set
 
 
 def _core_edge_lists(shortcut: Shortcut, view) -> list[list[tuple[int, int]]]:
@@ -145,6 +163,141 @@ def _core_edge_lists(shortcut: Shortcut, view) -> list[list[tuple[int, int]]]:
     ]
 
 
+def _local_graph(view, part_set, edge_lists):
+    """Lay out every part's augmented subgraph as one CSR over local nodes.
+
+    A *local node* is a ``(part, vertex)`` pair: each part member is the
+    node whose id is its vertex index (parts are disjoint), and each
+    endpoint of a part's shortcut edges outside the part is a relay node
+    with an id ``>= n``.  The local edges are the intra-part CSR slots plus
+    both directions of every shortcut pair; each row lists its neighbours
+    once, in ascending vertex order, the order the seed oracle expands
+    them in.
+
+    Returns ``(indptr, neighbours, crossed)``: the CSR as lists and the
+    graph slot each local edge crosses (an array).  The edge-sized arrays
+    are freed as soon as they are used: in Boruvka's early phases there
+    are tens of local edges per vertex, and they dominate peak memory.
+    """
+    slots = view.slot_order()
+    tail, head = slots.tail, slots.head
+    n = len(view)
+    num_parts = part_set.num_parts
+    sizes = np.diff(part_set.offsets)
+    if num_parts and sizes.min() == 0:
+        raise SimulationError(f"aggregation part {int(sizes.argmin())} is empty")
+    owner = np.asarray(part_set.owner_array(), dtype=np.int64)
+    if np.count_nonzero(owner >= 0) != len(part_set.members):
+        raise SimulationError("aggregation parts are not disjoint")
+
+    # Shortcut pairs of every part, endpoints resolved to graph slots.
+    counts = [len(pairs) for pairs in edge_lists]
+    total = sum(counts)
+    pairs = np.fromiter(
+        chain.from_iterable(chain.from_iterable(edge_lists)),
+        dtype=np.int64,
+        count=2 * total,
+    ).reshape(total, 2)
+    pair_part = np.repeat(np.arange(num_parts, dtype=np.int64), counts)
+    a, b = pairs[:, 0], pairs[:, 1]
+    pair_slot = slots.find(a, b)
+    if total and pair_slot.min() < 0:
+        bad = int(np.flatnonzero(pair_slot < 0)[0])
+        node_of = view.nodes
+        raise SimulationError(
+            f"shortcut edge ({node_of[int(a[bad])]}, {node_of[int(b[bad])]}) of part "
+            f"{int(pair_part[bad])} is not a graph edge"
+        )
+
+    # Local ids of the shortcut endpoints: the vertex itself for a member
+    # of the part, a relay id for a vertex outside it.
+    local = np.concatenate((a, b))
+    end_part = np.concatenate((pair_part, pair_part))
+    relay = owner[local] != end_part
+    relay_keys, relay_index = np.unique(end_part[relay] * n + local[relay], return_inverse=True)
+    local[relay] = n + relay_index
+    num_nodes = n + len(relay_keys)
+    del pair_part, end_part, relay, relay_keys, relay_index
+
+    # Every directed local edge, sorted into rows by (source, target vertex)
+    # with repeats dropped (a shortcut edge inside its own part repeats an
+    # intra-part slot).
+    intra = np.flatnonzero((owner[tail] >= 0) & (owner[tail] == owner[head]))
+    local_a, local_b = local[:total], local[total:]
+    source = np.concatenate((tail[intra], local_a, local_b))
+    key = source * n + np.concatenate((head[intra], b, a))
+    by_row = np.argsort(key)
+    key = key[by_row]
+    fresh = np.ones(len(key), dtype=bool)
+    fresh[1:] = key[1:] != key[:-1]
+    del key
+    by_row = by_row[fresh]
+    del fresh
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(source[by_row], minlength=num_nodes), out=indptr[1:])
+    del source
+    neighbours = np.concatenate((head[intra], local_b, local_a))[by_row].tolist()
+    crossed = np.concatenate((intra, pair_slot, slots.reverse[pair_slot]))[by_row]
+    return indptr.tolist(), neighbours, crossed
+
+
+def _aggregation_forest(view, part_set, edge_lists):
+    """Build every part's aggregation tree over the :func:`_local_graph`.
+
+    A BFS per part, in part order and seeded at the part's minimum index,
+    yields exactly the seed oracle's trees: the same parents, children in
+    discovery order, and the whole forest in ``parent.items()`` order part
+    by part.
+
+    Returns ``(order, part_start, parent, first_child, num_children,
+    up_rank, down_rank)``: the BFS order (part after part), each part's
+    start in it (its root's position), and per local node its parent
+    (``-1`` for a root), children ``order[first_child:first_child +
+    num_children]``, and the :class:`~repro.core.view.SlotOrder` rank of
+    the directed edge its up and down messages cross.
+    """
+    indptr, neighbours, crossed = _local_graph(view, part_set, edge_lists)
+    num_nodes = len(indptr) - 1
+    parent = [-2] * num_nodes  # -2: not reached
+    via = [0] * num_nodes  # the local edge each node was discovered over
+    first_child = [0] * num_nodes
+    num_children = [0] * num_nodes
+    order: list[int] = []
+    part_start: list[int] = []
+    append = order.append
+    offsets, members = part_set.offsets, part_set.members
+    size = 0
+    for index in range(part_set.num_parts):
+        anchor = members[offsets[index]]
+        part_start.append(size)
+        parent[anchor] = -1
+        append(anchor)
+        cursor = size
+        size += 1
+        while cursor < size:
+            u = order[cursor]
+            cursor += 1
+            first = size
+            for edge in range(indptr[u], indptr[u + 1]):
+                v = neighbours[edge]
+                if parent[v] == -2:
+                    parent[v] = u
+                    via[v] = edge
+                    append(v)
+                    size += 1
+            first_child[u] = first
+            num_children[u] = size - first
+    del indptr, neighbours
+    # The graph slot of each node's tree edge (parent -> node).  Without
+    # any local edge no node has a parent and the rank lists stay empty.
+    slots = view.slot_order()
+    tree_slot = crossed[np.array(via, dtype=np.int64)] if len(crossed) else crossed
+    del via
+    down_rank = slots.rank[tree_slot].tolist()
+    up_rank = slots.rank[slots.reverse[tree_slot]].tolist()
+    return order, part_start, parent, first_child, num_children, up_rank, down_rank
+
+
 def _partwise_aggregate_core(
     shortcut: Shortcut,
     label_values: Mapping[Hashable, Value] | None,
@@ -152,20 +305,23 @@ def _partwise_aggregate_core(
     combine: Callable[[Value, Value], Value],
     max_rounds: int,
 ) -> AggregationResult:
-    """The index-space greedy scheduler behind both entry points.
+    """The calendar scheduler behind both entry points.
 
-    Vertices are view indices throughout; the only label work is the
-    per-directed-edge delivery key ``repr((label_u, label_v))``, computed
-    once per edge that actually carries a message, which keeps the greedy
-    schedule order identical to the seed label-keyed oracle (index
-    order is repr order for vertices, but *edge* keys are string reprs of
-    label pairs, so they must be derived from the labels).
+    Each directed edge is a FIFO that delivers one message per round and
+    never idles while it holds one, so a message's delivery round is fixed
+    the moment it is sent: ``max(now + 1, next_free[edge])``.  Every round
+    is one calendar bucket of integer-coded tasks
+    ``(edge_rank << shift) | (node << 1) | is_up``; edge ranks are unique
+    within a round, so sorting a bucket as plain ints yields the seed
+    oracle's delivery order (directed edges by ``repr`` key), and
+    ``combine`` runs in exactly that order.
     """
-    view, part_set = _core_members(shortcut)
+    part_set = shortcut.part_set()
+    view = part_set.view
     node_of = view.nodes
     num_parts = part_set.num_parts
     aggregates: list[Value] = [None] * num_parts
-    per_part_done: list[int] = [0] * num_parts
+    per_part_done: list[int] = []
 
     if label_values is not None:
         # Same missing-value check (and same reported vertex) as the seed
@@ -181,184 +337,91 @@ def _partwise_aggregate_core(
             return label_values[node_of[vertex]]
 
     else:
+        if len(indexed_values) != len(node_of):
+            raise SimulationError(
+                f"expected {len(node_of)} indexed values, got {len(indexed_values)}"
+            )
+        value_of = indexed_values.__getitem__
 
-        def value_of(vertex: int) -> Value:
-            return indexed_values[vertex]
+    order, part_start, parent, first_child, num_children, up_rank, down_rank = (
+        _aggregation_forest(view, part_set, _core_edge_lists(shortcut, view))
+    )
+    num_nodes = len(parent)
+    if label_values is not None:
+        partial: list[Value] = [None] * num_nodes
+        for member in part_set.members:
+            partial[member] = value_of(member)
+    else:
+        partial = list(indexed_values) + [None] * (num_nodes - len(node_of))
+    part_of = part_set.owner_array()  # roots are members
+    pending = list(num_children)
+    arrival = [0] * num_nodes  # the round each node learned the aggregate
 
-    core = view.core
-    indptr, indices = core._indptr_list, core._indices_list
-    edge_lists = _core_edge_lists(shortcut, view)
+    shift = (2 * num_nodes + 1).bit_length()
+    node_mask = (1 << (shift - 1)) - 1
+    next_free = [0] * len(view.core._indices_list)  # by edge rank
+    calendar: dict[int, list[int]] = {}
 
-    # Per-part aggregation trees (BFS parent maps over the augmented
-    # subgraph, anchored at the part's minimum index) and bookkeeping.
-    parents: list[dict[int, int | None]] = []
-    children: list[dict[int, list[int]]] = []
-    pending_children: list[dict[int, int]] = []
-    partial: list[dict[int, Value]] = []
-    for index in range(num_parts):
-        members = part_set.members_of(index)
-        member_set = set(members)
-        adjacency: dict[int, list[int]] = {
-            u: [v for v in indices[indptr[u] : indptr[u + 1]] if v in member_set]
-            for u in members
-        }
-        for a, b in edge_lists[index]:
-            row = adjacency.setdefault(a, [])
-            if b not in row:
-                row.append(b)
-            row = adjacency.setdefault(b, [])
-            if a not in row:
-                row.append(a)
-        anchor = members[0]
-        parent: dict[int, int | None] = {anchor: None}
-        # Children lists recorded in BFS discovery order -- the same order a
-        # scan of ``parent.items()`` yields (dict insertion order), so the
-        # down-phase enqueues below are schedule-identical to the seed
-        # oracle's full scans while costing O(children) instead of O(part).
-        kids: dict[int, list[int]] = {}
-        queue: deque[int] = deque([anchor])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(adjacency[u]):
-                if v not in parent:
-                    parent[v] = u
-                    kids.setdefault(u, []).append(v)
-                    queue.append(v)
-        parents.append(parent)
-        children.append(kids)
-        counts: dict[int, int] = {node: 0 for node in parent}
-        for node, par in parent.items():
-            if par is not None:
-                counts[par] += 1
-        pending_children.append(counts)
-        partial.append(
-            {
-                node: value_of(node) if node in member_set else None
-                for node in parent
-            }
-        )
-
-    # Build the initial set of ready "up" tasks: leaves of each aggregation
-    # tree.  Directed edges deliver in canonical (repr) order each round;
-    # the repr of an index edge is derived from its labels once, when the
-    # edge first carries a task.
-    #
-    # Hot-path representation (schedule-identical to the seed oracle's
-    # scheduler, several times cheaper per message): tasks are plain
-    # ``(part, sender, receiver, is_up)`` tuples, and the active edges are
-    # kept as an always-sorted list that is *merged* with each round's
-    # newly activated edges instead of being re-sorted from scratch every
-    # round -- at 10^6 nodes the per-round ``sorted`` is the dominant cost.
-    edge_queues: dict[tuple[int, int], deque] = {}
-    edge_key: dict[tuple[int, int], str] = {}
-    outstanding = 0
-    fresh_edges: list[tuple[int, int]] = []  # activated since the last merge
-
-    def enqueue(index: int, sender: int, receiver: int, is_up: bool) -> None:
-        nonlocal outstanding
-        edge = (sender, receiver)
-        queue = edge_queues.get(edge)
+    def send(edge: int, task: int, now: int) -> None:
+        """Queue ``task`` on directed edge ``edge`` during round ``now``."""
+        when = next_free[edge]
+        if when <= now:
+            when = now + 1
+        next_free[edge] = when + 1
+        queue = calendar.get(when)
         if queue is None:
-            queue = edge_queues[edge] = deque()
-            edge_key[edge] = f"({node_of[sender]!r}, {node_of[receiver]!r})"
-        if not queue:
-            fresh_edges.append(edge)
-        queue.append((index, sender, receiver, is_up))
-        outstanding += 1
+            calendar[when] = [(edge << shift) | task]
+        else:
+            queue.append((edge << shift) | task)
 
-    for index in range(num_parts):
-        parent = parents[index]
-        pending = pending_children[index]
-        for node, par in parent.items():
-            if par is not None and pending[node] == 0:
-                enqueue(index, node, par, True)
+    # Leaves report first, part by part in BFS order (the oracle's order).
+    for node in order:
+        if pending[node] == 0 and parent[node] >= 0:
+            send(up_rank[node], (node << 1) | 1, 0)
 
-    # Down-phase bookkeeping: which vertices still await the broadcast.
-    awaiting_down: list[set[int]] = [set() for _ in range(num_parts)]
-
-    key_of = edge_key.__getitem__
+    # Every tree edge carries one up and one down message.
+    total = 2 * (len(order) - num_parts)
     rounds = 0
     messages = 0
-    active: list[tuple[int, int]] = []  # sorted by edge key, queues non-empty
-    while outstanding > 0:
+    while messages < total:
         if rounds > max_rounds:
             raise SimulationError("aggregation schedule exceeded the round budget")
         rounds += 1
-        if fresh_edges:
-            fresh_edges.sort(key=key_of)
-            if active:
-                # Merge the (sorted) survivors with the newly activated
-                # edges; both lists are duplicate-free and disjoint.
-                merged: list[tuple[int, int]] = []
-                append = merged.append
-                iter_old = iter(active)
-                iter_new = iter(fresh_edges)
-                old_edge = next(iter_old, None)
-                new_edge = next(iter_new, None)
-                while old_edge is not None and new_edge is not None:
-                    if key_of(old_edge) <= key_of(new_edge):
-                        append(old_edge)
-                        old_edge = next(iter_old, None)
-                    else:
-                        append(new_edge)
-                        new_edge = next(iter_new, None)
-                while old_edge is not None:
-                    append(old_edge)
-                    old_edge = next(iter_old, None)
-                while new_edge is not None:
-                    append(new_edge)
-                    new_edge = next(iter_new, None)
-                active = merged
-            else:
-                active = fresh_edges
-            fresh_edges = []
-        # Each directed edge delivers at most one message per round.
-        delivered: list[tuple[int, int, int, bool]] = []
-        still_active: list[tuple[int, int]] = []
-        deliver = delivered.append
-        keep = still_active.append
-        queues = edge_queues
-        for edge in active:
-            queue = queues[edge]
-            deliver(queue.popleft())
-            if queue:
-                keep(edge)
-        outstanding -= len(delivered)
+        delivered = calendar.pop(rounds)
+        delivered.sort()
         messages += len(delivered)
-        active = still_active
-        for index, sender, receiver, is_up in delivered:
-            if is_up:
-                part_partial = partial[index]
-                value = part_partial[sender]
+        for task in delivered:
+            node = (task >> 1) & node_mask
+            if task & 1:  # up: node reports to its parent
+                receiver = parent[node]
+                value = partial[node]
                 if value is not None:
-                    current = part_partial[receiver]
-                    part_partial[receiver] = (
+                    current = partial[receiver]
+                    partial[receiver] = (
                         value if current is None else combine(current, value)
                     )
-                pending = pending_children[index]
-                pending[receiver] -= 1
-                if pending[receiver] == 0:
-                    parent = parents[index]
-                    grand = parent[receiver]
-                    if grand is not None:
-                        enqueue(index, receiver, grand, True)
-                    else:
-                        # The root has the aggregate: start the broadcast.
-                        aggregates[index] = partial[index][receiver]
-                        awaiting_down[index] = {
-                            node for node, par in parent.items() if par is not None
-                        }
-                        if not awaiting_down[index]:
-                            per_part_done[index] = rounds
-                        for node in children[index].get(receiver, ()):
-                            enqueue(index, receiver, node, False)
-            else:  # down
-                waiting = awaiting_down[index]
-                waiting.discard(receiver)
-                if not waiting:
-                    per_part_done[index] = rounds
-                for node in children[index].get(receiver, ()):
-                    enqueue(index, receiver, node, False)
+                left = pending[receiver] - 1
+                pending[receiver] = left
+                if left:
+                    continue
+                if parent[receiver] >= 0:
+                    send(up_rank[receiver], (receiver << 1) | 1, rounds)
+                    continue
+                # The root has the aggregate: start the broadcast.
+                aggregates[part_of[receiver]] = partial[receiver]
+                node = receiver  # fans out to its children below
+            else:  # down: node learned the aggregate
+                arrival[node] = rounds
+            first = first_child[node]
+            for child in order[first : first + num_children[node]]:
+                send(down_rank[child], child << 1, rounds)
+
+    # A part finishes when its last node learns the aggregate (round 0 for
+    # a part whose tree is only its root).
+    if order:
+        per_part_done = np.maximum.reduceat(
+            np.array(arrival, dtype=np.int64)[np.array(order, dtype=np.int64)], part_start
+        ).tolist()
 
     # Single-vertex parts (and parts whose anchor component never produced a
     # task) fall back to a direct fold over their members' values.
@@ -369,7 +432,6 @@ def _partwise_aggregate_core(
             for member in members[1:]:
                 aggregate = combine(aggregate, value_of(member))
             aggregates[index] = aggregate
-            per_part_done[index] = max(per_part_done[index], 0)
 
     return AggregationResult(
         values=aggregates,
@@ -377,4 +439,3 @@ def _partwise_aggregate_core(
         messages=messages,
         per_part_rounds=per_part_done,
     )
-

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Hashable
 
 import networkx as nx
+import numpy as np
 
 from ..errors import InvalidGraphError
 from .graph import CoreGraph
@@ -61,6 +62,7 @@ class GraphView:
         "_index",
         "_has_weights",
         "_part_sets",
+        "_slot_order",
         "__weakref__",
     )
 
@@ -92,6 +94,7 @@ class GraphView:
         # view's: a cache entry referencing the view would keep a weakly-keyed
         # view alive forever.
         self._part_sets: dict = {}
+        self._slot_order: SlotOrder | None = None
         self.core = CoreGraph(len(labels), edges, sort_neighbours=sort_neighbours)
 
     @classmethod
@@ -136,6 +139,7 @@ class GraphView:
             raise InvalidGraphError("from_core: duplicate node labels")
         view._has_weights = has_weights
         view._part_sets = {}
+        view._slot_order = None
         return view
 
     @property
@@ -181,6 +185,16 @@ class GraphView:
     def number_of_edges(self) -> int:
         return self.core.num_edges
 
+    def slot_order(self) -> "SlotOrder":
+        """Return the directed-slot order of the view (built once, cached).
+
+        Cached on the view next to its part sets, so it lives and dies
+        with the view.
+        """
+        if self._slot_order is None:
+            self._slot_order = SlotOrder(self)
+        return self._slot_order
+
     # -- round trip --------------------------------------------------------
 
     def to_networkx(self) -> nx.Graph:
@@ -213,6 +227,54 @@ class GraphView:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"GraphView(n={self.number_of_nodes}, m={self.number_of_edges})"
+
+
+class SlotOrder:
+    """The ``2 m`` directed CSR slots of a view, ranked by their edge keys.
+
+    Slot ``s`` is the directed edge ``tail[s] -> head[s]`` (offset ``s`` of
+    the CSR ``indices`` array).  ``rank[s]`` is the slot's position when
+    all slots are sorted by the key string ``repr((label_u, label_v))``:
+    the order in which the CONGEST schedulers let directed edges deliver,
+    and (on the canonical slot of each edge) the order Boruvka breaks
+    weight ties by.  The strings are built and sorted once here; every
+    later comparison is an integer one.  ``reverse[s]`` is the slot of
+    ``head[s] -> tail[s]``.  All four attributes are ``int64`` arrays.
+    """
+
+    __slots__ = ("tail", "head", "rank", "reverse", "_num_nodes", "_keys", "_slots")
+
+    def __init__(self, view: GraphView) -> None:
+        core = view.core
+        n = core.num_nodes
+        head = core.indices
+        tail = np.repeat(np.arange(n, dtype=np.int64), np.diff(core.indptr))
+        node_repr = [repr(label) for label in view.nodes]
+        keys = [
+            f"({node_repr[u]}, {node_repr[v]})"
+            for u, v in zip(tail.tolist(), core._indices_list)
+        ]
+        rank = np.empty(len(keys), dtype=np.int64)
+        rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(
+            len(keys), dtype=np.int64
+        )
+        pair_keys = tail * n + head
+        slots = np.argsort(pair_keys, kind="stable")
+        self.tail = tail
+        self.head = head
+        self.rank = rank
+        self._num_nodes = n
+        self._keys = pair_keys[slots]
+        self._slots = slots
+        self.reverse = self.find(head, tail)
+
+    def find(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """Return the slot of every pair ``tails[i] -> heads[i]`` (``-1``: no edge)."""
+        wanted = tails * self._num_nodes + heads
+        if not len(self._keys):
+            return np.full(len(wanted), -1, dtype=np.int64)
+        position = np.minimum(np.searchsorted(self._keys, wanted), len(self._keys) - 1)
+        return np.where(self._keys[position] == wanted, self._slots[position], -1)
 
 
 # One shared conversion per nx.Graph object.  The memo lives *on the graph

@@ -40,6 +40,7 @@ from ..congest.faults import parse_fault_spec
 from ..congest.reference import ReferenceSimulator
 from ..congest.runtime import RuntimeSimulator
 from ..congest.simulator import CongestSimulator
+from ..errors import ReproError
 from .engine import run_matrix, scenario_matrix
 from .instances import InstanceCache
 from .registry import (
@@ -181,14 +182,19 @@ def main(argv: list[str] | None = None) -> int:
         "reference": ReferenceSimulator,
         "runtime": RuntimeSimulator,
     }[args.simulator]
-    records = run_matrix(
-        scenarios,
-        cache=cache,
-        simulator_cls=simulator_cls,
-        jobs=args.jobs,
-        faults=faults,
-        fault_seed=args.fault_seed,
-    )
+    try:
+        records = run_matrix(
+            scenarios,
+            cache=cache,
+            simulator_cls=simulator_cls,
+            jobs=args.jobs,
+            faults=faults,
+            fault_seed=args.fault_seed,
+        )
+    except ReproError as error:
+        # Bad parameter values (say --params side=0) surface as typed
+        # errors from the family builders: report them like bad flags.
+        parser.error(f"{type(error).__name__}: {error}")
     payload = json.dumps(records, indent=2, default=str)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

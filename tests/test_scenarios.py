@@ -272,6 +272,19 @@ def test_cli_rejects_empty_family_filter(capsys):
     assert "expected at least one argument" in capsys.readouterr().err
 
 
+def test_cli_reports_bad_param_values_as_usage_errors(capsys):
+    """A builder's typed error ends the run with exit 2 and one error line."""
+    with pytest.raises(SystemExit) as exit_info:
+        scenarios_main(["--families", "planar", "--params", "side=0"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [
+        "python -m repro.scenarios: error: InvalidGraphError: grid dimensions must be positive"
+    ]
+
+
 # ---------------------------------------------------------------- native path
 
 
