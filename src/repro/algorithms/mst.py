@@ -64,7 +64,7 @@ from ..graphs.weights import WEIGHT
 # partwise_aggregate is unused here; it stays bound because perfbench/ledger.py wraps it.
 from ..congest.aggregation import partwise_aggregate, partwise_aggregate_indexed
 from ..shortcuts.congestion_capped import oblivious_shortcut, oblivious_sweep
-from ..shortcuts.engine import ConstructionEngine, EngineScratch
+from ..shortcuts.engine import ConstructionEngine
 from ..shortcuts.shortcut import Shortcut
 from ..structure.spanning import RootedTree, bfs_spanning_tree
 from ..utils import canonical_edge
@@ -236,7 +236,6 @@ def boruvka_mst(
     phase_rounds: list[int] = []
     phase_qualities: list[int] = []
     sync_cost = max(1, tree.height)
-    scratch = EngineScratch(n) if use_engine else None
     infinity = (float("inf"), -1, -1, -1)
 
     for _phase in range(max_phases):
@@ -244,7 +243,7 @@ def boruvka_mst(
             break
         part_set = PartSet.from_member_lists(view, [members[root] for root in roots])
         if use_engine:
-            engine = ConstructionEngine(graph, tree, part_set=part_set, scratch=scratch)
+            engine = ConstructionEngine(graph, tree, part_set=part_set)
             shortcut = oblivious_sweep(engine)
         else:
             shortcut = builder(graph, tree, part_set.label_parts())

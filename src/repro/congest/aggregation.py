@@ -61,16 +61,16 @@ scheduler, kept as the oracle ``partwise_aggregate_reference`` in
 (values, rounds, messages and per-part rounds) on every family.
 
 Shortcuts built by the array-native construction engine carry their part
-family and shortcut edges as vertex-index arrays
-(:meth:`repro.shortcuts.engine.ConstructionEngine.build_shortcut`); the
-scheduler consumes those directly and only falls back to the label
-``edge_sets`` / ``parts`` for shortcuts built in label space.
+family and their shortcut edges as flat ``(pairs, offsets)`` vertex-index
+arrays (:meth:`repro.shortcuts.engine.ConstructionEngine.build_shortcut`);
+:func:`_local_graph` reads those arrays directly, with no per-edge Python
+pass.  Shortcuts built in label space convert their ``edge_sets`` into the
+same arrays once (:meth:`~repro.shortcuts.shortcut.Shortcut.index_pairs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -149,21 +149,7 @@ def partwise_aggregate_indexed(
     return _partwise_aggregate_core(shortcut, None, values, combine, max_rounds)
 
 
-def _core_edge_lists(shortcut: Shortcut, view) -> list[list[tuple[int, int]]]:
-    """Per-part shortcut edges as vertex-index pairs.
-
-    Engine-built shortcuts carry them from construction; label-built
-    shortcuts convert their canonical edge sets once per aggregation.
-    """
-    if shortcut._core_edges is not None:
-        return shortcut._core_edges
-    index_of = view.index_of
-    return [
-        [(index_of(u), index_of(v)) for u, v in edges] for edges in shortcut.edge_sets
-    ]
-
-
-def _local_graph(view, part_set, edge_lists):
+def _local_graph(view, part_set, pairs, pair_offsets):
     """Lay out every part's augmented subgraph as one CSR over local nodes.
 
     A *local node* is a ``(part, vertex)`` pair: each part member is the
@@ -172,7 +158,8 @@ def _local_graph(view, part_set, edge_lists):
     with an id ``>= n``.  The local edges are the intra-part CSR slots plus
     both directions of every shortcut pair; each row lists its neighbours
     once, in ascending vertex order, the order the seed oracle expands
-    them in.
+    them in.  The shortcut pairs come as the flat ``(pairs, offsets)``
+    arrays of :meth:`~repro.shortcuts.shortcut.Shortcut.index_pairs`.
 
     Returns ``(indptr, neighbours, crossed)``: the CSR as lists and the
     graph slot each local edge crosses (an array).  The edge-sized arrays
@@ -191,14 +178,8 @@ def _local_graph(view, part_set, edge_lists):
         raise SimulationError("aggregation parts are not disjoint")
 
     # Shortcut pairs of every part, endpoints resolved to graph slots.
-    counts = [len(pairs) for pairs in edge_lists]
-    total = sum(counts)
-    pairs = np.fromiter(
-        chain.from_iterable(chain.from_iterable(edge_lists)),
-        dtype=np.int64,
-        count=2 * total,
-    ).reshape(total, 2)
-    pair_part = np.repeat(np.arange(num_parts, dtype=np.int64), counts)
+    total = len(pairs)
+    pair_part = np.repeat(np.arange(num_parts, dtype=np.int64), np.diff(pair_offsets))
     a, b = pairs[:, 0], pairs[:, 1]
     pair_slot = slots.find(a, b)
     if total and pair_slot.min() < 0:
@@ -241,7 +222,7 @@ def _local_graph(view, part_set, edge_lists):
     return indptr.tolist(), neighbours, crossed
 
 
-def _aggregation_forest(view, part_set, edge_lists):
+def _aggregation_forest(view, part_set, pairs, pair_offsets):
     """Build every part's aggregation tree over the :func:`_local_graph`.
 
     A BFS per part, in part order and seeded at the part's minimum index,
@@ -256,7 +237,7 @@ def _aggregation_forest(view, part_set, edge_lists):
     num_children]``, and the :class:`~repro.core.view.SlotOrder` rank of
     the directed edge its up and down messages cross.
     """
-    indptr, neighbours, crossed = _local_graph(view, part_set, edge_lists)
+    indptr, neighbours, crossed = _local_graph(view, part_set, pairs, pair_offsets)
     num_nodes = len(indptr) - 1
     parent = [-2] * num_nodes  # -2: not reached
     via = [0] * num_nodes  # the local edge each node was discovered over
@@ -344,7 +325,7 @@ def _partwise_aggregate_core(
         value_of = indexed_values.__getitem__
 
     order, part_start, parent, first_child, num_children, up_rank, down_rank = (
-        _aggregation_forest(view, part_set, _core_edge_lists(shortcut, view))
+        _aggregation_forest(view, part_set, *shortcut.index_pairs())
     )
     num_nodes = len(parent)
     if label_values is not None:

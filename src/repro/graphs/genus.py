@@ -100,7 +100,9 @@ def genus_grid(
     rng = ensure_rng(seed)
     base = grid_graph(rows, cols)
     graph = base.copy()
-    coords = sorted((r, c) for r in range(rows) for c in range(cols))
+    # grid_graph labels the (r, c) pairs in repr order, which differs from
+    # tuple order once a coordinate reaches two digits.
+    coords = sorted(((r, c) for r in range(rows) for c in range(cols)), key=repr)
     index = {coord: i for i, coord in enumerate(coords)}
     min_distance = max(2, (rows + cols) // 2)
     handles: list[frozenset[tuple[int, int]]] = []

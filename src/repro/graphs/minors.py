@@ -32,12 +32,24 @@ def _quick_negative(graph: nx.Graph, minor: nx.Graph) -> bool:
         return True
     if graph.number_of_edges() < minor.number_of_edges():
         return True
+    if _forest_excludes(graph, minor):
+        return True
     # A minor model needs `h` branch sets whose contracted degrees cover H's
     # degrees; if G has max degree < min degree of H and H is connected with
     # more vertices than... keep only the safe check: if H has a vertex of
     # degree d, G must have at least d vertices of degree >= 1 -- too weak to
     # bother.  The planarity shortcut below is the main fast path.
     return False
+
+
+def _forest_excludes(graph: nx.Graph, minor: nx.Graph) -> bool:
+    """Return True if ``graph`` is a forest and ``minor`` contains a cycle.
+
+    Deleting or contracting an edge of a forest leaves a forest, so every
+    minor of a forest is a forest: a cycle in the pattern is a sound
+    certificate that a forest host excludes it, found in linear time.
+    """
+    return not nx.is_forest(minor) and nx.is_forest(graph)
 
 
 def _quick_positive(graph: nx.Graph, minor: nx.Graph) -> bool:

@@ -219,9 +219,10 @@ def boundary_cycle(rows: int, cols: int, graph: nx.Graph | None = None) -> Seque
     to use, and this helper returns it in cyclic order.  If ``graph`` is
     given it must be the graph returned by :func:`grid_graph` for the same
     dimensions (the labelling convention of :func:`relabel_to_integers` sorts
-    ``(r, c)`` pairs lexicographically, which this function reproduces).
+    ``(r, c)`` pairs by ``repr``, which this function reproduces; that is
+    not tuple order once a coordinate reaches two digits).
     """
-    coords = sorted((r, c) for r in range(rows) for c in range(cols))
+    coords = sorted(((r, c) for r in range(rows) for c in range(cols)), key=repr)
     index = {coord: i for i, coord in enumerate(coords)}
     path: list[int] = []
     # top row left->right, right column top->bottom, bottom row right->left,

@@ -97,8 +97,7 @@ def oblivious_sweep(
 
     This is the engine core of :func:`oblivious_shortcut`, split out so the
     array-native Boruvka loop (:mod:`repro.algorithms.mst`) can drive it
-    with a per-phase :class:`~repro.core.PartSet` and a shared
-    :class:`~repro.shortcuts.engine.EngineScratch` without re-validating
+    with a per-phase :class:`~repro.core.PartSet` without re-validating
     parts it constructed itself.  The winner records both ``chosen_budget``
     and ``chosen_quality`` (the sweep already priced it; re-measuring would
     repeat the work).

@@ -9,32 +9,53 @@ materialised an O(n) subtree set per Steiner edge per part to rank the
 benefits, and re-measured full quality from scratch for each candidate.
 
 :class:`ConstructionEngine` computes the budget-independent state exactly
-once per (graph, tree, parts):
+once per (graph, tree, parts), as a few numpy passes over the whole part
+family.  Its unit is the *Steiner pair* ``(part, vertex)``: ``vertex`` lies
+on the Steiner tree of ``part``, the union of the tree paths from the
+part's members up to its *top*, the LCA of its first and last members by
+``tin``.  Every array below is indexed by Steiner pair, sorted by
+``(part, tin)``:
 
-* **Steiner edge ids** -- every tree edge is identified by the view index of
-  its child endpoint; a part's Steiner edges are found by walking members up
-  the flat ``parent`` array into an epoch-stamped mark array and keeping the
-  marked vertices inside the Euler-tour interval of the terminals' LCA;
-* **Euler-tour benefits** -- the benefit of a part at a tree edge (number of
-  part vertices behind the edge, Definition 12's tie-breaker) is one
-  O(|Steiner|) accumulation pass over the Steiner vertices in decreasing
-  ``tin`` order, instead of per-edge subtree-set intersections;
-* **owner rankings** -- for every tree edge the requesting parts are ranked
-  once by (benefit desc, part index asc); the budget-``b`` winners are then
-  simply the top-``b`` prefix, so keep sets only grow with ``b``.
+* **Steiner pairs** -- the tree's heavy paths are contiguous ``tin`` ranges
+  (:class:`~repro.structure.spanning.EulerTourIndex`), so a path up to an
+  ancestor is at most ``1 + log2 n`` ``tin`` intervals.  In ``tin`` order,
+  each member's path up to its LCA with the previous member (the first
+  member's up to the top), without that endpoint, is disjoint from the
+  others, and together they are exactly the part's Steiner edges.  All
+  members climb together, one heavy path per vectorised step; their
+  intervals plus the tops are sorted and expanded into the pairs.  A pair
+  is a Steiner *edge* -- the tree edge from its vertex to the vertex's
+  parent -- iff its vertex is not the top;
+* **benefits** -- the benefit of a part at a tree edge (the number of part
+  members behind the edge, Definition 12's tie-breaker) is the number of
+  the part's members whose ``tin`` lies in the edge's subtree interval
+  ``[tin, tout]``: two ``searchsorted`` calls over the sorted
+  ``(part, tin)`` member keys price every edge pair at once;
+* **owner ranks** -- one ``lexsort`` by (edge, benefit desc, part asc)
+  ranks every edge's requesting parts; a part keeps an edge at budget
+  ``b`` iff its rank there is below ``b``, so keep sets only grow with
+  ``b``.
 
-The incremental sweep exploits that monotonicity: per-edge congestion at
-budget ``b`` is ``min(#owners, b)`` (a closed form), and the block
-parameter is maintained by per-part union-find structures over Steiner
-vertices that only ever *merge* as the budget grows -- each budget step
-unions exactly the newly-won (edge, part) pairs and updates a per-part
-terminal-component counter.  Once a budget drops no edge at all, every
-larger budget produces the identical shortcut and the sweep short-circuits.
+The sweep exploits that monotonicity: per-edge congestion at budget ``b``
+is ``min(#owners, b)`` (a closed form), and the block parameter comes from
+the components of the kept forest over the Steiner pairs.  Every pair
+points at its parent pair once its edge is kept, pointer jumping resolves
+every pair to its component's root, and a part's blocks are the distinct
+roots among its members.  Each budget only adds pointers, so the jumping
+resumes from the previous budget's roots.  Once a budget drops no edge at
+all, every larger budget produces the identical shortcut and the sweep
+short-circuits.
 
-The engine reproduces the preserved ``networkx`` reference implementation
-*exactly* (edge sets, congestion, blocks, chosen budget); the differential
-tests in ``tests/test_construction_engine.py`` pin this on every graph
-family and part generator.
+:meth:`ConstructionEngine.build_shortcut` hands the kept pairs to the
+:class:`Shortcut` as flat ``(pairs, offsets)`` vertex-index arrays, which
+the aggregation scheduler reads directly; label edge sets are built only
+when a label consumer asks for them.
+
+The engine reproduces the seed implementation, kept as the oracles in
+``tests/oracles/``, *exactly* (edge sets, congestion, blocks, chosen
+budget); the differential and property tests in
+``tests/test_construction_engine.py`` pin this on every graph family and
+part generator.
 """
 
 from __future__ import annotations
@@ -42,46 +63,35 @@ from __future__ import annotations
 from typing import Sequence
 
 import networkx as nx
+import numpy as np
 
 from ..core import PartSet, part_set_of, view_of
 from ..structure.spanning import RootedTree
 from .shortcut import Shortcut
 
 
-class EngineScratch:
-    """Reusable size-``n`` work arrays for repeated engine builds over one view.
-
-    One :class:`ConstructionEngine` allocates three length-``n`` arrays for
-    its Steiner derivation.  Built once per construction that is fine; the
-    Boruvka loop builds a fresh engine *per phase* over the same view,
-    so it threads one scratch through the whole run -- the epoch counter is
-    persistent, which makes re-use O(1) (no clearing pass between phases).
-    """
-
-    __slots__ = ("size", "mark_stamp", "member_stamp", "acc", "epoch")
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.mark_stamp = [0] * size  # ancestor-closure marking
-        self.member_stamp = [0] * size  # terminal membership
-        self.acc = [0] * size  # subtree terminal counts
-        self.epoch = 0
-
-
 class ConstructionEngine:
     """Shared per-(graph, tree, parts) state for the congestion-capped sweep.
 
-    Building the engine computes the Steiner edge-id arrays, Euler-tour
-    benefits and per-edge owner rankings once; :meth:`quality_sweep` then
-    prices any set of budgets incrementally and :meth:`build_shortcut`
-    materialises the pruned :class:`Shortcut` for one chosen budget.
+    Building the engine computes the Steiner pairs, their benefits and the
+    per-edge owner ranks once; :meth:`quality_sweep` then prices any set of
+    budgets incrementally and :meth:`build_shortcut` materialises the pruned
+    :class:`Shortcut` for one chosen budget.
 
     The part family may be supplied either as label frozensets (``parts``)
     or directly as an int-indexed :class:`~repro.core.PartSet`
     (``part_set``); the Boruvka loop uses the latter so per-phase
-    fragment families never round-trip through labels.  ``scratch`` is an
-    optional :class:`EngineScratch` shared across engines over the same
-    view (one allocation per MST run instead of one per phase).
+    fragment families never round-trip through labels.
+
+    Attributes (arrays are int64):
+        top: per part, the root of its Steiner tree.
+        pair_part: per Steiner pair, its part; ``terminal_local`` holds the
+            pair of every member (in ``(part, tin)`` order).
+        edge_local / edge_child / edge_part / edge_benefit / edge_rank /
+            parent_local: per Steiner edge, its pair, its edge (the child
+            vertex), its part, its benefit, the part's rank among the
+            edge's owners and the pair of the edge's parent vertex.
+        max_owner_count: the most parts requesting one tree edge.
     """
 
     def __init__(
@@ -90,7 +100,6 @@ class ConstructionEngine:
         tree: RootedTree,
         parts: Sequence[frozenset] | None = None,
         part_set: PartSet | None = None,
-        scratch: EngineScratch | None = None,
     ) -> None:
         self.graph = graph
         self.tree = tree
@@ -103,9 +112,6 @@ class ConstructionEngine:
             self.view = view_of(graph)
             self.part_set = part_set_of(self.view, parts)
         self.euler = tree.euler_index(self.view)
-        if scratch is None or scratch.size != len(self.view):
-            scratch = EngineScratch(len(self.view))
-        self.scratch = scratch
         self._tree_diameter: int | None = None
         self._build_steiner_index()
         self._rank_owners()
@@ -122,91 +128,104 @@ class ConstructionEngine:
     # -- budget-independent state -----------------------------------------
 
     def _build_steiner_index(self) -> None:
-        """Compute per-part Steiner vertex/edge-id arrays and edge benefits."""
-        parent, tin = self.euler.parent, self.euler.tin
-        members_by_tin = self.part_set.members_by_tin(self.euler)
-        scratch = self.scratch
-        mark_stamp = scratch.mark_stamp  # ancestor-closure marking
-        member_stamp = scratch.member_stamp  # terminal membership
-        acc = scratch.acc  # subtree terminal counts (reset via the kept list)
+        """Compute the Steiner pairs of every part and their edge benefits."""
+        euler = self.euler
+        tin, path_head, path_exit = euler.tin, euler.path_head, euler.path_exit
+        # Keys ``part * stride + tin`` keep every part's tin range apart.
+        stride = len(self.view) + 1
+        offsets = np.asarray(self.part_set.offsets, dtype=np.int64)
+        members = np.asarray(self.part_set.members, dtype=np.int64)
+        num_parts = len(offsets) - 1
+        self.sizes = offsets[1:] - offsets[:-1]
+        part_base = np.arange(num_parts, dtype=np.int64) * stride
+        base = part_base.repeat(self.sizes)
+        member_key = base + tin[members]
+        member_key.sort()
+        member_tin = member_key - base
+        first = offsets[:-1]
 
-        # Per part: Steiner vertex list, Steiner edge ids (child indices) and
-        # the parallel benefit array.
-        self.steiner_nodes: list[list[int]] = []
-        self.steiner_edges: list[list[int]] = []
-        self.benefits: list[list[int]] = []
+        # The top of a part is the deepest ancestor of its last member (by
+        # tin) whose tin is at most its first member's: the last member
+        # climbs one heavy path per step until its path reaches that bound.
+        position, bound = member_tin[offsets[1:] - 1], member_tin[first]
+        top_tin = np.empty(num_parts, dtype=np.int64)
+        climbing = np.arange(num_parts)
+        while len(climbing):
+            stops = path_head[position] <= bound
+            top_tin[climbing[stops]] = np.minimum(position[stops], bound[stops])
+            moves = ~stops
+            climbing, bound = climbing[moves], bound[moves]
+            position = path_exit[position[moves]]
 
-        epoch = scratch.epoch
-        for part_index, members in self.part_set.iter_members():
-            epoch += 1
-            # The Steiner tree is the ancestor closure of the terminals
-            # restricted to the subtree of their LCA, which in DFS order is
-            # the LCA of the extreme-tin members (the sorted tin views make
-            # those the first and last entries).  Computing the subtree's tin
-            # interval *first* lets every root-walk stop at parent(top)
-            # instead of climbing to the root: ancestors of a member are
-            # either inside subtree(top) (tin >= low) or proper ancestors of
-            # top (tin < low), so the marked set is exactly the old
-            # ancestor-closure intersected with the interval -- and singleton
-            # parts, the bulk of Boruvka's first phase, cost O(1) instead of
-            # O(tree depth).
-            by_tin = members_by_tin[part_index]
-            top = self.euler.lca(by_tin[0], by_tin[-1])
-            low = tin[top]
-            kept: list[int] = []
-            for member in members:
-                member_stamp[member] = epoch
-                node = member
-                while node >= 0 and mark_stamp[node] != epoch and tin[node] >= low:
-                    mark_stamp[node] = epoch
-                    kept.append(node)
-                    node = parent[node]
-            # One accumulation pass in decreasing tin order: children are
-            # processed before their parents, so acc[node] is the number of
-            # part vertices in the Steiner subtree below node -- equal to the
-            # reference |subtree(node) & part| because every part vertex in
-            # subtree(node) routes its root path through node.
-            kept.sort(key=tin.__getitem__, reverse=True)
-            for node in kept:
-                acc[node] = 0
-            edges: list[int] = []
-            benefit: list[int] = []
-            for node in kept:
-                below = acc[node] + (1 if member_stamp[node] == epoch else 0)
-                par = parent[node]
-                if par >= 0 and mark_stamp[par] == epoch and tin[par] >= low:
-                    edges.append(node)
-                    benefit.append(below)
-                    acc[par] += below
-            self.steiner_nodes.append(kept)
-            self.steiner_edges.append(edges)
-            self.benefits.append(benefit)
-        scratch.epoch = epoch
+        # In tin order, each member's path up to its LCA with the previous
+        # member -- the first member's up to the top -- minus that endpoint
+        # is disjoint from every other such path, and together they are the
+        # part's Steiner edges (a vertex below the top is reached first from
+        # the first member of its subtree).  All members climb together,
+        # each leaving one tin interval per heavy path.
+        bound = np.empty_like(member_tin)
+        bound[1:] = member_tin[:-1]
+        bound[first] = top_tin
+        lows = [part_base + top_tin]
+        highs = [lows[0]]
+        position, key_base = member_tin, base
+        while len(position):
+            head = path_head[position]
+            stops = head <= bound
+            lows.append(key_base + np.where(stops, np.minimum(position, bound) + 1, head))
+            highs.append(key_base + position)
+            moves = ~stops
+            position = path_exit[position[moves]]
+            bound, key_base = bound[moves], key_base[moves]
+        low = np.concatenate(lows)
+        high = np.concatenate(highs)
+
+        # Expand the disjoint intervals (and each part's top) into the
+        # sorted pair keys.
+        nonempty = low <= high
+        low, high = low[nonempty], high[nonempty]
+        by_low = low.argsort()
+        low, high = low[by_low], high[by_low]
+        lengths = high - low + 1
+        step = np.ones(int(lengths.sum()), dtype=np.int64)
+        step[0:1] = low[:1]
+        step[lengths[:-1].cumsum()] = low[1:] - high[:-1]
+        pair_key = step.cumsum()
+        self.pair_part, pair_tin = np.divmod(pair_key, stride)
+        self.top = euler.order[top_tin]
+
+        # Steiner edges and their benefits: members in [tin, tout].
+        is_edge = pair_tin != top_tin[self.pair_part]
+        self.edge_local = is_edge.nonzero()[0]
+        edge_key, edge_tin = pair_key[is_edge], pair_tin[is_edge]
+        self.edge_child = euler.order[edge_tin]
+        self.edge_part = self.pair_part[is_edge]
+        edge_base = edge_key - edge_tin
+        self.edge_benefit = member_key.searchsorted(
+            edge_base + euler.tout[self.edge_child], side="right"
+        ) - member_key.searchsorted(edge_key, side="left")
+        # Local ids of every member's pair and of every edge's parent pair.
+        self.terminal_local = pair_key.searchsorted(member_key)
+        self.parent_local = pair_key.searchsorted(
+            edge_base + tin[euler.parent[self.edge_child]]
+        )
 
     def _rank_owners(self) -> None:
         """Rank every tree edge's requesting parts by (benefit desc, index asc)."""
-        owners: dict[int, list[int]] = {}
-        owner_benefits: dict[int, list[int]] = {}
-        for part_index, edges in enumerate(self.steiner_edges):
-            benefit = self.benefits[part_index]
-            for offset, edge in enumerate(edges):
-                entry = owners.get(edge)
-                if entry is None:
-                    owners[edge] = [part_index]
-                    owner_benefits[edge] = [benefit[offset]]
-                else:
-                    entry.append(part_index)
-                    owner_benefits[edge].append(benefit[offset])
-        ranked: dict[int, list[int]] = {}
-        for edge, parts in owners.items():
-            if len(parts) == 1:
-                ranked[edge] = parts
-                continue
-            benefit = owner_benefits[edge]
-            pairs = sorted(zip(parts, benefit), key=lambda item: (-item[1], item[0]))
-            ranked[edge] = [part for part, _benefit in pairs]
-        self.ranked_owners = ranked
-        self.max_owner_count = max((len(parts) for parts in ranked.values()), default=0)
+        edge = self.edge_child
+        count = len(edge)
+        by_owner = np.lexsort((self.edge_part, -self.edge_benefit, edge))
+        sorted_edge = edge[by_owner]
+        opens = np.ones(count, dtype=bool)
+        opens[1:] = sorted_edge[1:] != sorted_edge[:-1]
+        starts = opens.nonzero()[0]
+        group_sizes = np.empty_like(starts)
+        group_sizes[:-1] = starts[1:] - starts[:-1]
+        group_sizes[-1:] = count - starts[-1:]
+        rank = np.empty(count, dtype=np.int64)
+        rank[by_owner] = np.arange(count, dtype=np.int64) - starts.repeat(group_sizes)
+        self.edge_rank = rank
+        self.max_owner_count = int(group_sizes.max()) if count else 0
 
     def tree_diameter(self) -> int:
         if self._tree_diameter is None:
@@ -220,8 +239,10 @@ class ConstructionEngine:
 
         Budgets are priced in ascending order: going from one budget to the
         next only *adds* kept (edge, part) pairs (each edge's winners are a
-        prefix of its ranking), so the per-part block counts are maintained
-        by union-find merges and the per-edge congestion has the closed form
+        prefix of its ranking), so each step points the newly won pairs at
+        their parent pairs and resumes the pointer jumping from the previous
+        roots; a part's block count is the number of distinct roots among
+        its members, and the per-edge congestion has the closed form
         ``min(#owners, budget)``.  Negative budgets price like 0, matching
         the constructor's clamp.  Once a budget drops no edge at all the
         remaining budgets share its quality (the candidates are identical).
@@ -230,66 +251,28 @@ class ConstructionEngine:
         if not distinct:
             return {}
         diameter = self.tree_diameter()
-        sizes = [self.part_set.size_of(p) for p in range(self.part_set.num_parts)]
-
-        # (edge, part) pairs grouped by the rank at which the part wins the
-        # edge: rank r is won exactly when the budget exceeds r.
-        by_rank: list[list[tuple[int, int]]] = [[] for _ in range(self.max_owner_count)]
-        for edge, ranked in self.ranked_owners.items():
-            for rank, part in enumerate(ranked):
-                by_rank[rank].append((edge, part))
-
-        # Per-part union-find over the Steiner vertices (local ids), with a
-        # terminal flag per root and a live terminal-component counter.
-        local: list[dict[int, int]] = []
-        uf_parent: list[list[int]] = []
-        has_terminal: list[list[bool]] = []
-        blocks = list(sizes)  # budget 0: every part vertex is its own block
-        for part_index, kept in enumerate(self.steiner_nodes):
-            mapping = {node: local_id for local_id, node in enumerate(kept)}
-            local.append(mapping)
-            uf_parent.append(list(range(len(kept))))
-            member_set = set(self.part_set.members_of(part_index))
-            has_terminal.append([node in member_set for node in kept])
-
-        def find(parents: list[int], item: int) -> int:
-            root = item
-            while parents[root] != root:
-                root = parents[root]
-            while parents[item] != root:
-                parents[item], item = root, parents[item]
-            return root
-
-        parent = self.euler.parent
-        qualities: dict[int, int] = {}
         max_count = self.max_owner_count
-        current_rank = 0
-        constant_quality: int | None = None
+        num_pairs = len(self.pair_part)
+        # Every terminal is its own block until an edge is kept.
+        block = int(self.sizes.max()) if len(self.sizes) else 0
+        pointer = np.arange(num_pairs, dtype=np.int64)
+        qualities: dict[int, int] = {}
+        kept_rank = 0
         for budget in distinct:
-            if constant_quality is not None:
-                qualities[budget] = constant_quality
-                continue
-            for rank in range(current_rank, min(budget, max_count)):
-                for edge, part in by_rank[rank]:
-                    mapping = local[part]
-                    parents = uf_parent[part]
-                    a = find(parents, mapping[edge])
-                    b = find(parents, mapping[parent[edge]])
-                    if a == b:
-                        continue
-                    flags = has_terminal[part]
-                    if flags[a] and flags[b]:
-                        blocks[part] -= 1
-                    parents[b] = a
-                    flags[a] = flags[a] or flags[b]
-            current_rank = min(budget, max_count)
-            congestion = min(max_count, budget)
-            block = max(blocks, default=0)
-            qualities[budget] = block * diameter + congestion
-            if budget >= max_count:
-                # No edge is dropped at this budget: every larger budget
-                # yields the identical (unpruned) candidate.
-                constant_quality = qualities[budget]
+            rank_limit = min(budget, max_count)
+            if rank_limit > kept_rank:
+                won = (self.edge_rank >= kept_rank) & (self.edge_rank < rank_limit)
+                pointer[self.edge_local[won]] = self.parent_local[won]
+                while True:
+                    jumped = pointer[pointer]
+                    if (jumped == pointer).all():
+                        break
+                    pointer = jumped
+                is_root = np.zeros(num_pairs, dtype=bool)
+                is_root[pointer[self.terminal_local]] = True
+                block = int(np.bincount(self.pair_part[is_root]).max())
+                kept_rank = rank_limit
+            qualities[budget] = block * diameter + rank_limit
         return qualities
 
     # -- materialisation ---------------------------------------------------
@@ -297,31 +280,21 @@ class ConstructionEngine:
     def build_shortcut(self, congestion_budget: int) -> Shortcut:
         """Materialise the pruned :class:`Shortcut` for one budget.
 
-        The shortcut is built in index space -- per-part ``(child, parent)``
-        vertex-index pairs plus the engine's part set -- and derives its
+        The shortcut is built in index space: the kept ``(child, parent)``
+        vertex-index pairs of all parts as one ``(k, 2)`` array sliced by
+        per-part ``offsets``, plus the engine's part set.  It derives its
         canonical label edge sets lazily, so a consumer that stays on the
         array-native path (the Boruvka fast loop, the indexed aggregation)
         never pays for label materialisation.
         """
         budget = max(0, int(congestion_budget))
-        dropped: set[tuple[int, int]] = set()
-        if budget < self.max_owner_count:
-            for edge, ranked in self.ranked_owners.items():
-                if len(ranked) > budget:
-                    for part in ranked[budget:]:
-                        dropped.add((edge, part))
-        parent = self.euler.parent
-        core_edge_lists: list[list[tuple[int, int]]] = []
-        for part_index, edges in enumerate(self.steiner_edges):
-            if dropped:
-                kept = [
-                    (edge, parent[edge])
-                    for edge in edges
-                    if (edge, part_index) not in dropped
-                ]
-            else:
-                kept = [(edge, parent[edge]) for edge in edges]
-            core_edge_lists.append(kept)
+        kept = self.edge_rank < budget
+        child = self.edge_child[kept]
+        pairs = np.empty((len(child), 2), dtype=np.int64)
+        pairs[:, 0] = child
+        pairs[:, 1] = self.euler.parent[child]
+        offsets = np.zeros(self.num_parts + 1, dtype=np.int64)
+        np.bincount(self.edge_part[kept], minlength=self.num_parts).cumsum(out=offsets[1:])
         return Shortcut(
             graph=self.graph,
             tree=self.tree,
@@ -329,5 +302,5 @@ class ConstructionEngine:
             edge_sets=None,
             constructor=f"congestion_capped(c={budget})",
             part_set=self.part_set,
-            core_edge_lists=core_edge_lists,
+            core_pairs=(pairs, offsets),
         )

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
+import numpy as np
 
 from ..core import part_set_of, view_of
 from ..errors import InvalidShortcutError
@@ -130,7 +131,7 @@ class Shortcut:
             May be ``None`` when ``part_set`` is given.
         edge_sets: for every part, the set of shortcut edges ``H_i`` in
             canonical form.  ``H_i`` may be empty.  May be ``None`` when
-            ``core_edge_lists`` is given.
+            ``core_pairs`` is given.
         constructor: free-form name of the construction that produced the
             shortcut (recorded in experiment outputs).
         part_set: optional int-indexed :class:`~repro.core.PartSet` of the
@@ -138,11 +139,13 @@ class Shortcut:
             frozensets are derived lazily -- the array-native algorithm
             layer hands per-phase Boruvka fragments through here without
             ever materialising label sets on its hot path.
-        core_edge_lists: optional per-part lists of ``(u_index, v_index)``
-            shortcut edges over ``part_set.view``.  When given,
-            ``edge_sets`` may be ``None``; the canonical label edge sets are
-            derived lazily, and the CONGEST aggregation primitive consumes
-            the index pairs directly.
+        core_pairs: optional ``(pairs, offsets)`` int arrays: the
+            ``(u_index, v_index)`` shortcut edges over ``part_set.view`` of
+            all parts as one ``(k, 2)`` array, part ``i``'s edges in rows
+            ``offsets[i]:offsets[i + 1]``.  When given, ``edge_sets`` may
+            be ``None``; the canonical label edge sets are derived lazily,
+            and the CONGEST aggregation primitive reads the arrays
+            directly (:meth:`index_pairs`).
 
     Label access (``shortcut.parts`` / ``shortcut.edge_sets``) always works
     regardless of which representation the constructor supplied; the other
@@ -158,7 +161,7 @@ class Shortcut:
         edge_sets: Sequence[Iterable[Edge]] | None,
         constructor: str = "unknown",
         part_set=None,
-        core_edge_lists: Sequence[Sequence[tuple[int, int]]] | None = None,
+        core_pairs: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.graph = graph
         self.tree = tree
@@ -171,15 +174,15 @@ class Shortcut:
                 raise InvalidShortcutError("need either parts or a part_set")
             self._parts = [frozenset(part) for part in parts]
             num_parts = len(self._parts)
-        self._core_edges = list(core_edge_lists) if core_edge_lists is not None else None
+        self._core_pairs = core_pairs
         if edge_sets is not None:
             self._raw_edge_sets: list[Iterable[Edge]] | None = list(edge_sets)
             num_edge_sets = len(self._raw_edge_sets)
-        elif self._core_edges is not None:
+        elif core_pairs is not None:
             self._raw_edge_sets = None
-            num_edge_sets = len(self._core_edges)
+            num_edge_sets = len(core_pairs[1]) - 1
         else:
-            raise InvalidShortcutError("need either edge_sets or core_edge_lists")
+            raise InvalidShortcutError("need either edge_sets or core_pairs")
         if num_parts != num_edge_sets:
             raise InvalidShortcutError("need exactly one edge set per part")
         self._edge_sets: list[frozenset[Edge]] | None = None
@@ -216,6 +219,9 @@ class Shortcut:
         _EMPTY: frozenset[Edge] = frozenset()
         if self._raw_edge_sets is None:
             node_of = self._part_set.view.nodes
+            pairs, offsets = self._core_pairs
+            flat = pairs.tolist()
+            bounds = offsets.tolist()
             return [
                 frozenset(
                     (
@@ -223,11 +229,11 @@ class Shortcut:
                         if repr(node_of[a]) <= repr(node_of[b])
                         else (node_of[b], node_of[a])
                     )
-                    for a, b in pairs
+                    for a, b in flat[start:stop]
                 )
-                if pairs
+                if start < stop
                 else _EMPTY
-                for pairs in self._core_edges
+                for start, stop in zip(bounds, bounds[1:])
             ]
         # Identity memo: constructors that give several parts the same edge-set
         # object (whole-tree, shared per-cell sets) keep that sharing through
@@ -255,6 +261,27 @@ class Shortcut:
             return result
 
         return [canonicalise(edges) for edges in self._raw_edge_sets]
+
+    def index_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return (and cache) the shortcut edges as flat ``(pairs, offsets)`` arrays.
+
+        ``pairs`` is a ``(k, 2)`` int64 array of vertex indices over
+        :meth:`part_set`'s view and part ``i``'s edges are rows
+        ``offsets[i]:offsets[i + 1]``.  Engine-built shortcuts carry the
+        arrays from construction; label-built shortcuts convert their
+        canonical edge sets on first use.
+        """
+        if self._core_pairs is None:
+            index_of = self.part_set().view.index_of
+            edge_sets = self.edge_sets
+            pairs = np.array(
+                [index_of(node) for edges in edge_sets for edge in edges for node in edge],
+                dtype=np.int64,
+            ).reshape(-1, 2)
+            offsets = np.zeros(len(edge_sets) + 1, dtype=np.int64)
+            np.cumsum([len(edges) for edges in edge_sets], out=offsets[1:])
+            self._core_pairs = (pairs, offsets)
+        return self._core_pairs
 
     def part_set(self):
         """Return (and cache) the int-indexed :class:`~repro.core.PartSet`.

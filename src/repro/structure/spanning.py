@@ -21,6 +21,7 @@ from collections import deque
 from typing import Hashable, Iterable, Sequence
 
 import networkx as nx
+import numpy as np
 
 from ..core import GraphView
 from ..errors import InvalidGraphError
@@ -183,13 +184,14 @@ class RootedTree:
     def euler_index(self, view: GraphView) -> "EulerTourIndex":
         """Return (and cache) the Euler-tour index of this tree over ``view``.
 
-        The index stores flat arrays over the view's vertex indices:
-        ``parent`` / ``depth``, the DFS pre-order ``order``, and the
-        ``tin`` / ``tout`` interval of every subtree, so that "is ``v`` in
-        the subtree below ``u``" is two integer comparisons and a part's
-        benefit at every tree edge is one accumulation pass (see
-        :mod:`repro.shortcuts.engine`).  Cached per view identity -- a
-        budget sweep builds it once.
+        The index stores int64 arrays over the view's vertex indices:
+        ``parent`` / ``depth``, the heavy-first DFS pre-order ``order``,
+        the ``tin`` / ``tout`` interval of every subtree and the heavy
+        paths in position space, so that "is ``v`` in the subtree below
+        ``u``" is two integer comparisons and every tree path is a few
+        ``tin`` intervals (see :mod:`repro.shortcuts.engine`).  Cached per
+        view identity -- a budget sweep, and every phase of a Boruvka run,
+        builds it once.
         """
         cached = self._euler
         if cached is None or cached.view is not view:
@@ -364,18 +366,37 @@ class RootedTree:
 class EulerTourIndex:
     """Flat-array Euler-tour (DFS interval) index of a :class:`RootedTree`.
 
-    All arrays are indexed by the :class:`GraphView` vertex index:
+    All arrays are int64 numpy arrays.  Indexed by the :class:`GraphView`
+    vertex index:
 
     * ``parent[i]`` -- index of the tree parent (``-1`` for the root);
     * ``depth[i]`` -- hop depth below the root;
-    * ``order`` -- the DFS pre-order as a list of indices;
     * ``tin[i]`` -- pre-order position of ``i``;
     * ``tout[i]`` -- the largest ``tin`` in the subtree below ``i``
       (inclusive), so ``v`` lies in the subtree of ``u`` iff
       ``tin[u] <= tin[v] <= tout[u]``.
+
+    Indexed by pre-order position:
+
+    * ``order`` -- the vertex at each position (``order[tin[i]] == i``);
+    * ``path_head[t]`` -- the position of the top of the heavy path
+      through position ``t``;
+    * ``path_exit[t]`` -- the position of that top's parent (``-1`` on the
+      root's path).
+
+    The DFS enters each vertex's heavy child (the first child with the
+    largest subtree) before its other children, so every heavy path is a
+    contiguous position range.  The tree path from a vertex at position
+    ``t`` up to an ancestor at position ``a`` is therefore at most
+    ``1 + log2 n`` position intervals: ``[path_head[t], t]`` for each heavy
+    path left through a light edge (then ``t = path_exit[t]``), and
+    ``[a, t]`` on the ancestor's own path, which is reached once
+    ``path_head[t] <= a``.
     """
 
-    __slots__ = ("view", "root", "parent", "depth", "order", "tin", "tout")
+    __slots__ = (
+        "view", "root", "parent", "depth", "order", "tin", "tout", "path_head", "path_exit"
+    )
 
     def __init__(self, tree: RootedTree, view: GraphView) -> None:
         n = len(view)
@@ -398,30 +419,61 @@ class EulerTourIndex:
             raise InvalidGraphError(
                 f"tree node {error.args[0]!r} is not a vertex of the graph view"
             ) from None
+        # Subtree sizes and heavy children bottom-up over a top-down (BFS)
+        # order, then the heavy-first DFS.  Siblings are met last to first,
+        # so ">=" keeps the first of several largest children.
+        top_down = [root]
+        for node in top_down:
+            top_down.extend(children[node])
+        size = [1] * n
+        heavy = [-1] * n
+        for node in reversed(top_down):
+            par = parent[node]
+            if par >= 0:
+                below = size[node]
+                size[par] += below
+                if heavy[par] < 0 or below >= size[heavy[par]]:
+                    heavy[par] = node
+        # The DFS records, per position, its heavy path's top and that top's
+        # parent; a light child's top is itself (-1 until it is reached).
         order: list[int] = []
         tin = [0] * n
+        path_head: list[int] = []
+        path_exit: list[int] = []
+        head_of = [-1] * n
+        exit_of = [-1] * n
         stack = [root]
         while stack:
             node = stack.pop()
-            tin[node] = len(order)
+            position = len(order)
+            tin[node] = position
             order.append(node)
-            stack.extend(reversed(children[node]))
-        tout = list(tin)
-        for node in reversed(order):
-            par = parent[node]
-            if par >= 0 and tout[node] > tout[par]:
-                tout[par] = tout[node]
+            head = head_of[node]
+            if head < 0:
+                head = position
+            path_head.append(head)
+            path_exit.append(exit_of[node])
+            big = heavy[node]
+            if big >= 0:
+                for child in reversed(children[node]):
+                    if child != big:
+                        exit_of[child] = position
+                        stack.append(child)
+                head_of[big] = head
+                exit_of[big] = exit_of[node]
+                stack.append(big)
         self.view = view
         self.root = root
-        self.parent = parent
-        self.depth = depth
-        self.order = order
-        self.tin = tin
-        self.tout = tout
+        arrays = np.array(
+            [parent, depth, tin, size, order, path_head, path_exit], dtype=np.int64
+        )
+        self.parent, self.depth, self.tin, size_array = arrays[:4]
+        self.order, self.path_head, self.path_exit = arrays[4:]
+        self.tout = self.tin + size_array - 1
 
     def in_subtree(self, ancestor: int, node: int) -> bool:
         """Return True iff ``node`` lies in the subtree below ``ancestor``."""
-        return self.tin[ancestor] <= self.tin[node] <= self.tout[ancestor]
+        return bool(self.tin[ancestor] <= self.tin[node] <= self.tout[ancestor])
 
     def lca(self, u: int, v: int) -> int:
         """Return the LCA of two indices (depth-walk, linear in the depth gap)."""
@@ -433,7 +485,7 @@ class EulerTourIndex:
         while u != v:
             u = parent[u]
             v = parent[v]
-        return u
+        return int(u)
 
 
 def bfs_spanning_tree(graph: nx.Graph | GraphView, root: Hashable | None = None) -> RootedTree:

@@ -10,6 +10,11 @@ Three layers:
 * **property** -- the incremental budget sweep's per-budget quality must
   equal a from-scratch ``congestion_capped_shortcut`` at each budget,
   including unsorted, duplicated and negative budget schedules;
+* **compiled engine vs seed oracles** -- a Hypothesis property over tiny
+  instances of every family, with random-spanning-tree fragments as parts
+  (Steiner trees leave their part and overlap) and random budget lists,
+  compares every per-budget quality, edge set and the chosen budget with
+  the oracles;
 * **substrate** -- the Euler-tour index and the int-indexed
   :class:`~repro.core.PartSet` agree with the label-keyed
   :class:`RootedTree` / ``frozenset`` structures they replace.
@@ -19,6 +24,8 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import part_set_of, view_of
 from repro.graphs.planar import grid_graph, wheel_graph
@@ -39,6 +46,7 @@ from oracles import (
     oblivious_shortcut_reference,
     validate_gates_reference,
 )
+from test_aggregation_schedule import _fragments, _tiny_instance
 
 PART_KINDS = ("tree_fragments", "path", "singleton")
 
@@ -160,6 +168,57 @@ def test_chosen_budget_is_none_for_direct_constructions():
     assert congestion_capped_shortcut(graph, tree, parts).chosen_budget is None
     assert oblivious_shortcut(graph, tree, parts).chosen_budget is not None
     assert oblivious_shortcut(graph, tree, []).chosen_budget is None
+
+
+# ------------------------------------------- compiled engine vs seed oracles
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    family_name=st.sampled_from(family_names()),
+    instance_seed=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=10_000),
+    part_share=st.floats(min_value=0.0, max_value=1.0),
+    budgets=st.lists(st.integers(min_value=-3, max_value=12), min_size=1, max_size=6),
+)
+def test_compiled_engine_matches_seed_oracles(
+    family_name, instance_seed, seed, part_share, budgets
+):
+    instance = _tiny_instance(family_name, instance_seed)
+    graph, tree = instance.graph, instance.tree
+    num_parts = 1 + round(part_share * (instance.num_nodes // 2 - 1))
+    parts = _fragments(instance, num_parts, seed)
+    engine = ConstructionEngine(graph, tree, parts)
+    qualities = engine.quality_sweep(budgets)
+    assert sorted(qualities) == sorted({max(0, budget) for budget in budgets})
+    for budget in sorted(qualities):
+        reference = congestion_capped_reference(graph, tree, parts, budget)
+        assert qualities[budget] == measure_reference(reference).quality, budget
+        assert engine.build_shortcut(budget).edge_sets == reference.edge_sets, budget
+    fast = oblivious_shortcut(graph, tree, parts, budgets=budgets)
+    reference = oblivious_shortcut_reference(graph, tree, parts, budgets=budgets)
+    assert fast.edge_sets == reference.edge_sets
+    assert fast.chosen_budget == reference.chosen_budget
+    assert fast.chosen_quality == reference.chosen_quality
+
+
+def test_compiled_engine_regime_is_reached():
+    """The drawn regime has congested edges, singletons and member tops."""
+    max_owner_count = 0
+    singletons = member_tops = 0
+    for family_name in family_names():
+        instance = _tiny_instance(family_name, 0)
+        for seed in range(3):
+            parts = _fragments(instance, instance.num_nodes // 2, seed)
+            engine = ConstructionEngine(instance.graph, instance.tree, parts)
+            max_owner_count = max(max_owner_count, engine.max_owner_count)
+            part_set = engine.part_set
+            for index in range(part_set.num_parts):
+                members = part_set.members_of(index)
+                singletons += len(members) == 1
+                member_tops += len(members) > 1 and int(engine.top[index]) in members
+    assert max_owner_count >= 3
+    assert singletons and member_tops
 
 
 # ----------------------------------------------------------------- substrate

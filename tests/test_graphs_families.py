@@ -41,6 +41,22 @@ def test_genus_grid_adds_the_requested_number_of_handles():
     assert result.graph.number_of_edges() == base_edges + 3
 
 
+@pytest.mark.parametrize("side", [11, 12, 16])
+def test_genus_builds_past_two_digit_grid_coordinates(side):
+    """Grid labels follow repr order, which leaves tuple order at side 11."""
+    from repro.scenarios import build_instance
+
+    result = genus_grid(side, side, genus=2, seed=side)
+    coords = sorted(nx.grid_2d_graph(side, side).nodes(), key=repr)
+    for handle in result.handles:
+        ((u, v),) = handle
+        (r1, c1), (r2, c2) = coords[u], coords[v]
+        assert abs(r1 - r2) + abs(c1 - c2) >= side
+    instance = build_instance("genus", {"side": side}, seed=1)
+    assert nx.is_connected(instance.graph)
+    assert instance.graph.number_of_nodes() > side * side
+
+
 def test_genus_grid_rejects_impossible_requests():
     with pytest.raises(InvalidGraphError):
         genus_grid(3, 3, genus=100, seed=0)

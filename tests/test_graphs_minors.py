@@ -69,3 +69,33 @@ def test_minor_node_limit_guard():
         has_minor(big, complete_graph_minor(3))
     # Raising the limit explicitly allows the call.
     assert excludes_minor(big, complete_graph_minor(3), node_limit=200)
+
+
+CYCLIC_PATTERNS = {
+    "K3": complete_graph_minor(3),
+    "K4": complete_graph_minor(4),
+    "C4": nx.cycle_graph(4),
+    "K2,3": complete_bipartite_minor(2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC_PATTERNS))
+def test_forest_certificate_agrees_with_exact_search(monkeypatch, name):
+    """The forest certificate never changes an answer of the exact search."""
+    import repro.graphs.minors as minors
+
+    pattern = CYCLIC_PATTERNS[name]
+    hosts = [graph for graph in nx.graph_atlas_g() if 1 <= graph.number_of_nodes() <= 6]
+    with_certificate = [has_minor(graph, pattern) for graph in hosts]
+    monkeypatch.setattr(minors, "_forest_excludes", lambda graph, minor: False)
+    exact = [has_minor(graph, pattern) for graph in hosts]
+    assert with_certificate == exact
+    forests = [i for i, graph in enumerate(hosts) if nx.is_forest(graph)]
+    assert forests and not any(exact[i] for i in forests)
+    assert any(exact), "the atlas must contain hosts that have the minor"
+
+
+def test_forest_certificate_rejects_large_forests_quickly():
+    tree = random_caterpillar_tree(60, seed=3)
+    assert excludes_minor(tree, complete_graph_minor(3))
+    assert excludes_minor(nx.path_graph(60), complete_bipartite_minor(2, 3))

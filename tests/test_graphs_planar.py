@@ -98,3 +98,14 @@ def test_boundary_cycle_is_a_cycle_in_the_grid():
     assert len(cycle) == 2 * (rows + cols) - 4
     for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
         assert graph.has_edge(a, b)
+
+
+@pytest.mark.parametrize("rows, cols", [(12, 12), (3, 15)])
+def test_boundary_cycle_matches_grid_labels_past_two_digit_coordinates(rows, cols):
+    """Grid labels follow repr order, which leaves tuple order at side 11."""
+    graph = grid_graph(rows, cols)
+    cycle = boundary_cycle(rows, cols, graph)
+    assert len(cycle) == len(set(cycle)) == 2 * (rows + cols) - 4
+    for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
+        assert graph.has_edge(a, b)
+    assert set(cycle) == {node for node, degree in graph.degree() if degree < 4}
