@@ -10,6 +10,12 @@ faster than the seed oracles ``boruvka_mst_reference`` /
 grid, with both arms producing identical results (MST
 edges/weight/rounds/phases/qualities, cut value/side/edges/rounds).  On this hardware the measured ratio is ~5-8x.
 
+A second arm gates the ``steiner`` constructor's engine hook the same way:
+Boruvka with the registry's ``steiner`` builder (each phase's shortcut is
+the construction engine's unpruned build) against ``boruvka_mst_reference``
+driven by the label oracle ``steiner_shortcut_reference``, with identical
+MST results and the same >=3x gate.
+
 Each run appends its record to ``benchmarks/BENCH_S5.json`` (see
 ``conftest.append_trajectory``) -- a trajectory of (size, speedup, rounds)
 entries so that speedup regressions are visible across commits, not just
@@ -23,11 +29,16 @@ ratio stable on noisy shared runners.
 import os
 
 from conftest import append_trajectory, best_of, run_experiment
-from oracles import approximate_min_cut_reference, boruvka_mst_reference
+from oracles import (
+    approximate_min_cut_reference,
+    boruvka_mst_reference,
+    steiner_shortcut_reference,
+)
 
 from repro.algorithms.mincut import approximate_min_cut
 from repro.algorithms.mst import boruvka_mst
 from repro.scenarios import InstanceCache, build_instance
+from repro.scenarios.registry import constructor
 
 SIDE = int(os.environ.get("S5_BENCH_SIDE", "30"))
 REPEATS = int(os.environ.get("S5_BENCH_REPEATS", "3"))
@@ -63,14 +74,22 @@ def experiment_algorithms_speedup(
         )
         return mst, cut
 
+    steiner_builder = constructor("steiner").builder_for(instance)
+
+    def run_steiner():
+        return boruvka_mst(weighted, shortcut_builder=steiner_builder, tree=tree)
+
+    def run_steiner_oracle():
+        return boruvka_mst_reference(
+            weighted, shortcut_builder=steiner_shortcut_reference, tree=tree
+        )
+
     fast_seconds, (fast_mst, fast_cut) = best_of(run_workload, repeats)
     reference_seconds, (reference_mst, reference_cut) = best_of(run_oracles, repeats)
+    steiner_seconds, steiner_mst = best_of(run_steiner, repeats)
+    steiner_reference_seconds, steiner_reference_mst = best_of(run_steiner_oracle, repeats)
     agree = (
-        fast_mst.edges == reference_mst.edges
-        and fast_mst.weight == reference_mst.weight
-        and fast_mst.rounds == reference_mst.rounds
-        and fast_mst.phase_rounds == reference_mst.phase_rounds
-        and fast_mst.phase_qualities == reference_mst.phase_qualities
+        _mst_agree(fast_mst, reference_mst)
         and fast_cut.value == reference_cut.value
         and fast_cut.side == reference_cut.side
         and fast_cut.cut_edges == reference_cut.cut_edges
@@ -90,7 +109,22 @@ def experiment_algorithms_speedup(
         "reference_seconds": reference_seconds,
         "speedup": reference_seconds / max(fast_seconds, 1e-9),
         "results_agree": agree,
+        "steiner_mst_rounds": steiner_mst.rounds,
+        "steiner_fast_seconds": steiner_seconds,
+        "steiner_reference_seconds": steiner_reference_seconds,
+        "steiner_speedup": steiner_reference_seconds / max(steiner_seconds, 1e-9),
+        "steiner_results_agree": _mst_agree(steiner_mst, steiner_reference_mst),
     }
+
+
+def _mst_agree(fast, reference) -> bool:
+    return (
+        fast.edges == reference.edges
+        and fast.weight == reference.weight
+        and fast.rounds == reference.rounds
+        and fast.phase_rounds == reference.phase_rounds
+        and fast.phase_qualities == reference.phase_qualities
+    )
 
 
 def test_s5_algorithms_speedup(benchmark):
@@ -103,3 +137,5 @@ def test_s5_algorithms_speedup(benchmark):
     append_trajectory("S5", result)
     assert result["results_agree"]
     assert result["speedup"] >= 3.0
+    assert result["steiner_results_agree"]
+    assert result["steiner_speedup"] >= 3.0

@@ -38,10 +38,11 @@ The loop is array-native: fragments are a flat union-find owner array over
 :class:`~repro.core.GraphView` indices, each phase's family is an
 incremental :meth:`~repro.core.PartSet.from_member_lists` part set, the
 MWOE search scans the CSR slices with the view's cached slot ranks
-(:meth:`~repro.core.GraphView.slot_order`) as tie-break keys, the default
-oblivious builder drives
-:class:`~repro.shortcuts.engine.ConstructionEngine` directly, and the
-aggregation runs through
+(:meth:`~repro.core.GraphView.slot_order`) as tie-break keys, any
+engine-backed builder (one carrying a ``from_engine`` hook: ``oblivious``
+and ``steiner``) builds its shortcut straight from a
+:class:`~repro.shortcuts.engine.ConstructionEngine` over that part set, and
+the aggregation runs through
 :func:`~repro.congest.aggregation.partwise_aggregate_indexed`.
 ``tests/test_algorithms_core.py`` pins every result field to the seed
 oracle ``boruvka_mst_reference`` (``tests/oracles/``) on every family.
@@ -61,7 +62,8 @@ import numpy as np
 from ..core import GraphView, PartSet, view_of
 from ..errors import ConvergenceError
 from ..graphs.weights import WEIGHT
-# partwise_aggregate is unused here; it stays bound because perfbench/ledger.py wraps it.
+# partwise_aggregate is unused here, and oblivious_sweep is only read once below;
+# both stay bound because perfbench/ledger.py looks them up on this module by name.
 from ..congest.aggregation import partwise_aggregate, partwise_aggregate_indexed
 from ..shortcuts.congestion_capped import oblivious_shortcut, oblivious_sweep
 from ..shortcuts.engine import ConstructionEngine
@@ -70,25 +72,26 @@ from ..structure.spanning import RootedTree, bfs_spanning_tree
 from ..utils import canonical_edge
 
 # A shortcut builder receives (graph, tree, parts) and returns a Shortcut; the
-# distributed algorithm is oblivious to how the shortcut was obtained.
+# distributed algorithm is oblivious to how the shortcut was obtained.  A
+# builder may also carry a ``from_engine(engine) -> Shortcut`` hook that builds
+# the same shortcut from a ConstructionEngine over the parts; Boruvka then
+# calls the hook on its per-phase part set instead of the builder.
 ShortcutBuilder = Callable[[nx.Graph, RootedTree, Sequence[frozenset]], Shortcut]
 
 
 def oblivious_builder(graph: nx.Graph, tree: RootedTree, parts: Sequence[frozenset]) -> Shortcut:
     """Default shortcut builder: the structure-oblivious congestion-capped search.
 
-    Marked ``uses_engine``: the array-native Boruvka loop recognises this
-    builder (and any other builder carrying the flag, like the scenario
-    registry's ``oblivious`` constructor) and drives the construction engine
-    directly on its per-phase :class:`~repro.core.PartSet` instead of
-    round-tripping the fragments through label frozensets.
+    Its ``from_engine`` hook is :func:`oblivious_sweep`: the array-native
+    Boruvka loop runs the sweep on an engine over its per-phase
+    :class:`~repro.core.PartSet` instead of round-tripping the fragments
+    through label frozensets.
     """
     return oblivious_shortcut(graph, tree, parts)
 
 
-# The Boruvka loop may construct this builder's result engine-side; the two are
-# pinned identical by the construction-engine differential tests.
-oblivious_builder.uses_engine = True
+# The two are pinned identical by the construction-engine differential tests.
+oblivious_builder.from_engine = oblivious_sweep
 
 
 @dataclass
@@ -170,9 +173,12 @@ def boruvka_mst(
             output): weights are then read straight from the CSR
             arrays and never materialises an ``nx.Graph`` -- the million-node
             configuration of the S7 scale gate.  A view requires an
-            engine-driven builder (the default).
+            engine-backed builder (the default).
         shortcut_builder: how each phase obtains its shortcut; defaults to the
-            structure-oblivious constructor.
+            structure-oblivious constructor.  A builder with a
+            ``from_engine`` hook is never called: each phase calls the hook
+            on a :class:`~repro.shortcuts.engine.ConstructionEngine` over
+            the phase's fragments.
         tree: the global spanning tree ``T`` used for T-restriction and for
             the end-of-phase synchronisation; defaults to a BFS tree.
         max_phases: optional safety cap (default ``2 + log2 n``).
@@ -184,7 +190,7 @@ def boruvka_mst(
         MST weight (the tests assert this on every workload).
     """
     builder = shortcut_builder if shortcut_builder is not None else oblivious_builder
-    use_engine = bool(getattr(builder, "uses_engine", False))
+    from_engine = getattr(builder, "from_engine", None)
     view = view_of(graph)
     tree = tree if tree is not None else bfs_spanning_tree(view)
     n = len(view)
@@ -242,9 +248,8 @@ def boruvka_mst(
         if len(roots) <= 1:
             break
         part_set = PartSet.from_member_lists(view, [members[root] for root in roots])
-        if use_engine:
-            engine = ConstructionEngine(graph, tree, part_set=part_set)
-            shortcut = oblivious_sweep(engine)
+        if from_engine is not None:
+            shortcut = from_engine(ConstructionEngine(graph, tree, part_set=part_set))
         else:
             shortcut = builder(graph, tree, part_set.label_parts())
         if validate_shortcuts:

@@ -42,9 +42,14 @@ from ..graphs.native import native_grid
 from ..graphs.planar import grid_graph, is_planar
 from ..graphs.treewidth import TreewidthWitness, random_partial_ktree
 from ..shortcuts.apex import apex_shortcut_from_witness
-from ..shortcuts.baseline import empty_shortcut, steiner_shortcut, whole_tree_shortcut
+from ..shortcuts.baseline import (
+    empty_shortcut,
+    steiner_from_engine,
+    steiner_shortcut,
+    whole_tree_shortcut,
+)
 from ..shortcuts.clique_sum import clique_sum_shortcut
-from ..shortcuts.congestion_capped import oblivious_shortcut
+from ..shortcuts.congestion_capped import oblivious_shortcut, oblivious_sweep
 from ..shortcuts.genus_vortex import genus_vortex_shortcut
 from ..shortcuts.minor_free import minor_free_shortcut
 from ..shortcuts.planar import planar_shortcut
@@ -253,16 +258,19 @@ class ConstructorSpec:
         fresh parts; the closure pins the instance (and hence the structural
         witness) while letting the phase supply graph, tree and parts.
 
-        A spec whose ``build`` carries ``uses_engine`` (the oblivious
-        constructor) passes the flag through, so the array-native Boruvka
-        loop can drive the construction engine on its per-phase part sets
-        instead of materialising label fragments for the closure.
+        A spec whose ``build`` carries a ``from_engine`` hook (the
+        ``steiner`` and ``oblivious`` constructors) passes it through, so
+        the array-native Boruvka loop builds each phase's shortcut from a
+        construction engine over its part set instead of materialising
+        label fragments for the closure.
         """
 
         def build(graph: nx.Graph, tree: RootedTree, parts: Parts) -> Shortcut:
             return self.build(instance, tree, parts)
 
-        build.uses_engine = bool(getattr(self.build, "uses_engine", False))
+        from_engine = getattr(self.build, "from_engine", None)
+        if from_engine is not None:
+            build.from_engine = from_engine
         return build
 
 
@@ -310,21 +318,28 @@ register_constructor(ConstructorSpec(
     applicable=_always,
     build=lambda inst, tree, parts: whole_tree_shortcut(inst.graph, tree, parts),
 ))
-register_constructor(ConstructorSpec(
-    name="steiner",
-    description="per-part Steiner subtree of T",
-    applicable=_always,
-    build=lambda inst, tree, parts: steiner_shortcut(inst.graph, tree, parts),
-))
+
+
+def _steiner_build(inst: ScenarioInstance, tree: RootedTree, parts: Parts) -> Shortcut:
+    return steiner_shortcut(inst.graph, tree, parts)
+
+
 def _oblivious_build(inst: ScenarioInstance, tree: RootedTree, parts: Parts) -> Shortcut:
     return oblivious_shortcut(inst.graph, tree, parts)
 
 
-# The array-native Boruvka loop recognises this flag and drives the
-# construction engine directly on its per-phase fragments; the result is
-# pinned identical to calling the builder (the engine differential tests).
-_oblivious_build.uses_engine = True
+# The array-native Boruvka loop calls these hooks on a construction engine over
+# its per-phase fragments; the results are pinned identical to calling the
+# builders (the engine and Boruvka differential tests).
+_steiner_build.from_engine = steiner_from_engine
+_oblivious_build.from_engine = oblivious_sweep
 
+register_constructor(ConstructorSpec(
+    name="steiner",
+    description="per-part Steiner subtree of T",
+    applicable=_always,
+    build=_steiner_build,
+))
 register_constructor(ConstructorSpec(
     name="oblivious",
     description="structure-oblivious congestion-capped search (HIZ16a)",
@@ -592,11 +607,15 @@ def _run_mincut(
     faults: FaultModel | None = None,
     fault_seed: int = 0,
 ) -> dict:
-    """Tree-packing min-cut is centralised; ``faults`` is recorded, not applied."""
+    """Tree-packing min-cut is centralised; ``faults`` is recorded, not applied.
+
+    The min-cut runs on an ``nx.Graph``: a native instance's weighted view
+    is materialised, and its record says so with ``nx_materialised: true``
+    (label records carry no such key).
+    """
     weighted = instance.weighted_graph(seed, low=low, high=high)
-    if isinstance(weighted, GraphView):
-        # The tree-packing min-cut is centralised label-space code;
-        # materialise the weighted view once for native instances.
+    native = isinstance(weighted, GraphView)
+    if native:
         weighted = weighted.graph
     result = approximate_min_cut(weighted, epsilon=epsilon, shortcut_builder=builder, tree=tree)
     record = {
@@ -606,6 +625,8 @@ def _run_mincut(
         "mincut_rounds": result.rounds,
         "num_trees": result.num_trees,
     }
+    if native:
+        record["nx_materialised"] = True
     _note_faults(record, faults, fault_seed)
     return record
 

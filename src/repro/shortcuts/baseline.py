@@ -12,6 +12,13 @@ Three extremes bracket the design space:
   spanning it: block parameter 1, congestion equal to the maximum number of
   part Steiner trees sharing a tree edge -- usually much better than the
   whole tree, and the starting point the congestion-capped constructor prunes.
+
+The Steiner shortcut is the construction engine's *unpruned* build
+(:func:`steiner_from_engine`): at a congestion budget of the engine's
+``max_owner_count`` no part loses a Steiner edge, so the engine's Steiner
+pairs are handed to the :class:`Shortcut` as they are, in index space.  The
+per-part label construction it replaces is kept as the oracle
+``steiner_shortcut_reference`` in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from typing import Sequence
 import networkx as nx
 
 from ..structure.spanning import RootedTree, bfs_spanning_tree
+from .engine import ConstructionEngine
 from .parts import validate_parts
 from .shortcut import Shortcut
 
@@ -81,11 +89,22 @@ def steiner_shortcut(
     """
     tree = tree if tree is not None else bfs_spanning_tree(graph)
     validate_parts(graph, parts)
-    edge_sets = [frozenset(tree.steiner_tree_edges(part)) for part in parts]
-    return Shortcut(
-        graph=graph,
-        tree=tree,
-        parts=parts,
-        edge_sets=edge_sets,
-        constructor="steiner",
-    )
+    if not parts:
+        return Shortcut(graph=graph, tree=tree, parts=[], edge_sets=[], constructor="steiner")
+    return steiner_from_engine(ConstructionEngine(graph, tree, parts))
+
+
+def steiner_from_engine(engine: ConstructionEngine) -> Shortcut:
+    """Build the Steiner shortcut of a prebuilt engine's part family.
+
+    No tree edge has more than ``max_owner_count`` owners, so at that budget
+    every part keeps its whole Steiner tree.  The shortcut records its
+    quality, priced in closed form: one block per part, congestion
+    ``max_owner_count``.  The array-native Boruvka loop calls this directly
+    on its per-phase engine (the ``from_engine`` hook of the ``steiner``
+    builders).
+    """
+    shortcut = engine.build_shortcut(engine.max_owner_count)
+    shortcut.constructor = "steiner"
+    shortcut.chosen_quality = engine.tree_diameter() + engine.max_owner_count
+    return shortcut

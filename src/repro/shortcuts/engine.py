@@ -49,7 +49,9 @@ short-circuits.
 :meth:`ConstructionEngine.build_shortcut` hands the kept pairs to the
 :class:`Shortcut` as flat ``(pairs, offsets)`` vertex-index arrays, which
 the aggregation scheduler reads directly; label edge sets are built only
-when a label consumer asks for them.
+when a label consumer asks for them.  At any budget of at least
+``max_owner_count`` no edge is dropped, and the build is the unpruned
+Steiner shortcut (:func:`~repro.shortcuts.baseline.steiner_shortcut`).
 
 The engine reproduces the seed implementation, kept as the oracles in
 ``tests/oracles/``, *exactly* (edge sets, congestion, blocks, chosen

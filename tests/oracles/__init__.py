@@ -14,4 +14,5 @@ from .shortcuts import (
     congestion_capped_reference,
     measure_reference,
     oblivious_shortcut_reference,
+    steiner_shortcut_reference,
 )

@@ -1,9 +1,10 @@
-"""Seed oracles for shortcut quality and the oblivious construction.
+"""Seed oracles for shortcut quality and the Steiner and oblivious constructions.
 
 The measurement counts congestion with a per-edge dict walk and blocks with
-one ``nx`` component search per part; the construction prunes with one
-O(n) subtree set per Steiner edge per part and re-measures a fresh
-candidate per budget.
+one ``nx`` component search per part; the Steiner construction prunes each
+part's union of root paths in label space; the oblivious construction
+prunes with one O(n) subtree set per Steiner edge per part and re-measures
+a fresh candidate per budget.
 """
 
 from __future__ import annotations
@@ -49,6 +50,24 @@ def measure_reference(shortcut: Shortcut) -> ShortcutQuality:
         quality=block * d + congestion,
         num_parts=shortcut.num_parts,
         total_shortcut_edges=sum(len(edges) for edges in shortcut.edge_sets),
+    )
+
+
+def steiner_shortcut_reference(
+    graph: nx.Graph,
+    tree: RootedTree | None = None,
+    parts: Sequence[frozenset] = (),
+) -> Shortcut:
+    """The preserved seed Steiner shortcut: one label Steiner tree per part."""
+    tree = tree if tree is not None else bfs_spanning_tree(graph)
+    validate_parts(graph, parts)
+    edge_sets = [frozenset(tree.steiner_tree_edges(part)) for part in parts]
+    return Shortcut(
+        graph=graph,
+        tree=tree,
+        parts=parts,
+        edge_sets=edge_sets,
+        constructor="steiner",
     )
 
 

@@ -42,6 +42,7 @@ from oracles import (
     approximate_min_cut_reference,
     boruvka_mst_reference,
     partwise_aggregate_reference,
+    steiner_shortcut_reference,
 )
 
 _INSTANCES: dict = {}
@@ -98,13 +99,14 @@ def test_mincut_fast_path_matches_reference(family_name):
     _assert_mincut_equal(fast, reference)
 
 
-def test_boruvka_engine_bypass_matches_builder_closure():
-    """The registry's engine-capable oblivious builder == calling it as a closure."""
+@pytest.mark.parametrize("constructor_name", ["oblivious", "steiner"])
+def test_boruvka_engine_bypass_matches_builder_closure(constructor_name):
+    """The registry's engine-capable builders == calling them as closures."""
     instance = _family_instance("planar")
     weighted = instance.weighted_graph(5)
     tree = instance.tree
-    builder = scenario_constructor("oblivious").builder_for(instance)
-    assert builder.uses_engine  # the flag the fast loop dispatches on
+    builder = scenario_constructor(constructor_name).builder_for(instance)
+    assert builder.from_engine  # the hook the fast loop dispatches on
     via_marker = boruvka_mst(weighted, shortcut_builder=builder, tree=tree)
 
     def unmarked(graph, t, parts):
@@ -114,13 +116,27 @@ def test_boruvka_engine_bypass_matches_builder_closure():
     _assert_mst_equal(via_marker, via_closure)
 
 
+@pytest.mark.parametrize("family_name", family_names())
+def test_boruvka_steiner_hook_matches_label_oracle(family_name):
+    """The ``steiner`` hook == the seed Boruvka driven by the label Steiner oracle."""
+    instance = _family_instance(family_name)
+    weighted = instance.weighted_graph(3)
+    tree = instance.tree
+    builder = scenario_constructor("steiner").builder_for(instance)
+    fast = boruvka_mst(weighted, shortcut_builder=builder, tree=tree)
+    reference = boruvka_mst_reference(
+        weighted, shortcut_builder=steiner_shortcut_reference, tree=tree
+    )
+    _assert_mst_equal(fast, reference)
+
+
 def test_boruvka_fast_path_with_witness_builder_matches_reference():
     """A non-engine (label-space) builder exercises the label_parts hand-off."""
     instance = _family_instance("apex")
     weighted = instance.weighted_graph(7)
     tree = instance.tree
     builder = scenario_constructor("apex").builder_for(instance)
-    assert not getattr(builder, "uses_engine", False)
+    assert not getattr(builder, "from_engine", None)
     fast = boruvka_mst(weighted, shortcut_builder=builder, tree=tree)
     reference = boruvka_mst_reference(weighted, shortcut_builder=builder, tree=tree)
     _assert_mst_equal(fast, reference)
@@ -179,8 +195,9 @@ def test_partwise_aggregate_indexed_matches_label_entry_point(family_name):
 
     Tuple concatenation is associative but not commutative, so it pins the
     order in which every aggregation tree folds its children, not just the
-    aggregate.  Engine-built parts carry index-space edge lists; the steiner
-    shortcut is label-built, so both hand-offs into the scheduler run.
+    aggregate.  Engine-built shortcuts carry index-space edge lists; the
+    seed Steiner oracle is label-built, so both hand-offs into the scheduler
+    run.
     """
     instance = _family_instance(family_name)
     view = instance.view
@@ -188,6 +205,7 @@ def test_partwise_aggregate_indexed_matches_label_entry_point(family_name):
     shortcuts = [
         scenario_constructor("oblivious").build(instance, instance.tree, parts),
         steiner_shortcut(instance.graph, instance.tree, parts),
+        steiner_shortcut_reference(instance.graph, instance.tree, parts),
     ]
     for combine, label_values in (
         (min, {node: (index * 37) % 97 for index, node in enumerate(view.nodes)}),

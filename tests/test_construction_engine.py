@@ -14,7 +14,8 @@ Three layers:
   instances of every family, with random-spanning-tree fragments as parts
   (Steiner trees leave their part and overlap) and random budget lists,
   compares every per-budget quality, edge set and the chosen budget with
-  the oracles;
+  the oracles, and the engine-built ``steiner_shortcut`` (edge sets,
+  measurement, priced quality) with the label Steiner oracle;
 * **substrate** -- the Euler-tour index and the int-indexed
   :class:`~repro.core.PartSet` agree with the label-keyed
   :class:`RootedTree` / ``frozenset`` structures they replace.
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 from repro.core import part_set_of, view_of
 from repro.graphs.planar import grid_graph, wheel_graph
 from repro.scenarios import build_instance, family_names
+from repro.shortcuts.baseline import steiner_shortcut
 from repro.shortcuts.congestion_capped import (
     congestion_capped_shortcut,
     default_budget_schedule,
@@ -44,6 +46,7 @@ from oracles import (
     congestion_capped_reference,
     measure_reference,
     oblivious_shortcut_reference,
+    steiner_shortcut_reference,
     validate_gates_reference,
 )
 from test_aggregation_schedule import _fragments, _tiny_instance
@@ -200,6 +203,40 @@ def test_compiled_engine_matches_seed_oracles(
     assert fast.edge_sets == reference.edge_sets
     assert fast.chosen_budget == reference.chosen_budget
     assert fast.chosen_quality == reference.chosen_quality
+
+
+def _assert_steiner_matches_oracle(graph, tree, parts):
+    fast = steiner_shortcut(graph, tree, parts)
+    reference = steiner_shortcut_reference(graph, tree, parts)
+    measured = measure_reference(reference)
+    assert fast.constructor == "steiner"
+    assert fast.edge_sets == reference.edge_sets
+    assert fast.measure() == measured
+    if parts:
+        assert fast.chosen_quality == measured.quality
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    family_name=st.sampled_from(family_names()),
+    instance_seed=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=10_000),
+    part_share=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_engine_steiner_matches_seed_oracle(family_name, instance_seed, seed, part_share):
+    instance = _tiny_instance(family_name, instance_seed)
+    num_parts = 1 + round(part_share * (instance.num_nodes // 2 - 1))
+    parts = _fragments(instance, num_parts, seed)
+    _assert_steiner_matches_oracle(instance.graph, instance.tree, parts)
+
+
+@pytest.mark.parametrize("family_name", family_names())
+def test_engine_steiner_matches_seed_oracle_on_singletons_and_empty_family(family_name):
+    instance = _tiny_instance(family_name, 0)
+    graph, tree = instance.graph, instance.tree
+    _assert_steiner_matches_oracle(graph, tree, singleton_parts(graph))
+    _assert_steiner_matches_oracle(graph, tree, [])
+    assert steiner_shortcut(graph, tree, []).num_parts == 0
 
 
 def test_compiled_engine_regime_is_reached():

@@ -336,6 +336,25 @@ def test_run_scenario_native_mst_is_nx_free_and_oracle_checked():
     assert result["sim_rounds"] > 0
 
 
+def test_native_mincut_record_says_it_materialised_nx():
+    from repro.core import nx_materializations
+
+    def mincut(native):
+        return Scenario(
+            name="mc", family="planar", constructor="oblivious", algorithm="mincut",
+            params={"side": 5}, seed=2, native=native,
+        )
+
+    before = nx_materializations()
+    native = run_scenario(mincut(True)).as_dict()["result"]
+    assert nx_materializations() == before + 1
+    assert native["nx_materialised"] is True
+    before = nx_materializations()
+    classic = run_scenario(mincut(False)).as_dict()["result"]
+    assert nx_materializations() == before
+    assert "nx_materialised" not in classic
+
+
 def test_classic_records_do_not_carry_a_native_key():
     record = run_scenario(Scenario(
         name="c", family="planar", constructor="planar", params={"side": 5}, seed=1,
